@@ -22,6 +22,7 @@ i + 2j = phi(n)), monic in s, and has nonnegative coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import zip_longest
 from typing import Mapping
 
@@ -44,11 +45,6 @@ __all__ = [
 ]
 
 ROUTES = ("symmetric", "division", "reduction", "checked")
-
-_SYM_CACHE: dict[int, BiPoly] = {}
-_DIV_CACHE: dict[int, BiPoly] = {}
-_RED_CACHE: dict[int, BiPoly] = {}
-_CHECKED_CACHE: dict[int, BiPoly] = {}
 
 
 def _atom_weight_list(n: int) -> tuple[int, list[int]]:
@@ -83,41 +79,31 @@ def _atom_weight_list(n: int) -> tuple[int, list[int]]:
     return m, acc
 
 
+@cache
 def atom_symmetric(n: int) -> BiPoly:
     """P_n by the additive route from cyclotomic coefficients and W_k."""
     if n < 1:
         raise ValueError("index must be positive")
-    poly = _SYM_CACHE.get(n)
-    if poly is None:
-        if n == 1:
-            poly = BiPoly.one()
-        else:
-            m, acc = _atom_weight_list(n)
-            poly = BiPoly.from_weight_list(m, acc)
-        _SYM_CACHE[n] = poly
-    return poly
+    if n == 1:
+        return BiPoly.one()
+    return BiPoly.from_weight_list(*_atom_weight_list(n))
 
 
+@cache
 def atom_division(n: int) -> BiPoly:
     """P_n = U_n / prod of the atoms of the proper divisors, by exact division."""
     if n < 1:
         raise ValueError("index must be positive")
-    poly = _DIV_CACHE.get(n)
-    if poly is None:
-        if n == 1:
-            poly = BiPoly.one()
-        else:
-            poly = lucas_poly(n)
-            for d in divisors(n)[:-1]:
-                if d == 1:
-                    continue
-                try:
-                    poly = exact_div_in_s(poly, atom_division(d))
-                except ValueError as exc:
-                    raise InternalConsistencyError(
-                        f"inexact division while extracting the atom at {n}: {exc}"
-                    ) from exc
-        _DIV_CACHE[n] = poly
+    if n == 1:
+        return BiPoly.one()
+    poly = lucas_poly(n)
+    for d in divisors(n)[1:-1]:
+        try:
+            poly = exact_div_in_s(poly, atom_division(d))
+        except ValueError as exc:
+            raise InternalConsistencyError(
+                f"inexact division while extracting the atom at {n}: {exc}"
+            ) from exc
     return poly
 
 
@@ -130,6 +116,7 @@ def _reduction_pair(p: int) -> tuple[BiPoly, BiPoly]:
     return BiPoly.var_s() * atom_division(2 * p), BiPoly.monomial(0, p)
 
 
+@cache
 def atom_reduction(n: int) -> BiPoly:
     """P_n by stripping the largest prime power off n.
 
@@ -141,33 +128,24 @@ def atom_reduction(n: int) -> BiPoly:
     """
     if n < 1:
         raise ValueError("index must be positive")
-    poly = _RED_CACHE.get(n)
-    if poly is not None:
-        return poly
     if n == 1:
-        poly = BiPoly.one()
-    elif is_prime(n):
-        poly = lucas_poly(n)
-    else:
-        facts = factorize(n)
-        p, m_exp = facts[-1]
-        n_rest = n // p**m_exp
-        if m_exp == 1 and n_rest == 2 and p > 2:
-            poly = atom_division(n)
-        else:
-            s_val, t_val = _reduction_pair(p)
-            if m_exp == 1:
-                base = atom_reduction(n_rest)
-                try:
-                    poly = exact_div_in_s(base.subs(s_val, t_val), base)
-                except ValueError as exc:
-                    raise InternalConsistencyError(
-                        f"inexact division in the reduction route at {n}: {exc}"
-                    ) from exc
-            else:
-                poly = atom_reduction(n // p).subs(s_val, t_val)
-    _RED_CACHE[n] = poly
-    return poly
+        return BiPoly.one()
+    if is_prime(n):
+        return lucas_poly(n)
+    p, m_exp = factorize(n)[-1]
+    n_rest = n // p**m_exp
+    if m_exp == 1 and n_rest == 2 and p > 2:
+        return atom_division(n)
+    s_val, t_val = _reduction_pair(p)
+    if m_exp > 1:
+        return atom_reduction(n // p).subs(s_val, t_val)
+    base = atom_reduction(n_rest)
+    try:
+        return exact_div_in_s(base.subs(s_val, t_val), base)
+    except ValueError as exc:
+        raise InternalConsistencyError(
+            f"inexact division in the reduction route at {n}: {exc}"
+        ) from exc
 
 
 def reduction_is_informative(n: int) -> bool:
@@ -190,18 +168,20 @@ def atom(n: int, route: str = "checked") -> BiPoly:
         return atom_division(n)
     if route == "reduction":
         return atom_reduction(n)
-    poly = _CHECKED_CACHE.get(n)
-    if poly is None:
-        poly = atom_symmetric(n)
-        if poly != atom_division(n):
-            raise InternalConsistencyError(
-                f"symmetric and division routes disagree at index {n}"
-            )
-        if reduction_is_informative(n) and atom_reduction(n) != poly:
-            raise InternalConsistencyError(
-                f"reduction route disagrees at index {n}"
-            )
-        _CHECKED_CACHE[n] = poly
+    return _atom_checked(n)
+
+
+@cache
+def _atom_checked(n: int) -> BiPoly:
+    """The symmetric-route atom, once the division route (and, where it does
+    real work, the reduction route) has been found to agree with it."""
+    poly = atom_symmetric(n)
+    if poly != atom_division(n):
+        raise InternalConsistencyError(
+            f"symmetric and division routes disagree at index {n}"
+        )
+    if reduction_is_informative(n) and atom_reduction(n) != poly:
+        raise InternalConsistencyError(f"reduction route disagrees at index {n}")
     return poly
 
 

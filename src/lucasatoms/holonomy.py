@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .atoms import atom, atom_eval
 from .errors import InternalConsistencyError
 from .exactpoly import BiPoly, solve_rational
-from .lucasfam import LucasParams
-from .numtheory import divisors, euler_phi, is_prime, mobius, radical
+from .lucasfam import LucasParams, cyclotomic
+from .numtheory import euler_phi, is_prime
 from .valuations import vp_atom_closed, zero_atom_indices
 
 __all__ = [
@@ -30,70 +31,6 @@ __all__ = [
     "fit_recurrence",
     "t_zero_profile",
 ]
-
-
-# -- cyclotomic coefficients mod p -------------------------------------------
-
-def _mul_qd_minus_1(a: list[int], d: int, p: int) -> list[int]:
-    """a(q) * (q^d - 1) mod p."""
-    out = [0] * (len(a) + d)
-    for i, v in enumerate(a):
-        if v:
-            out[i + d] = (out[i + d] + v) % p
-            out[i] = (out[i] - v) % p
-    return out
-
-
-def _div_qd_minus_1(a: list[int], d: int, p: int) -> list[int]:
-    """Exact quotient a(q) / (q^d - 1) mod p."""
-    deg = len(a) - 1
-    q = [0] * (deg - d + 1)
-    for i in range(deg, d - 1, -1):
-        carry = q[i] if i <= deg - d else 0
-        q[i - d] = (a[i] + carry) % p
-    for i in range(d):
-        carry = q[i] if i <= deg - d else 0
-        if (a[i] + carry) % p:
-            raise InternalConsistencyError("inexact cyclotomic division mod p")
-    return q
-
-
-_RADICAL_MOD_CACHE: dict[tuple[int, int], list[int]] = {}
-
-
-def _cyclotomic_mod(n: int, p: int) -> list[int]:
-    """Coefficients of the n-th cyclotomic polynomial reduced mod p.
-
-    The squarefree radical is built as prod_{d | rad} (q^d - 1)^(mu(rad/d))
-    with linear-time synthetic steps; other indices spread the radical's
-    coefficients (q -> q^(n/rad)).
-    """
-    rad = radical(n)
-    base = _RADICAL_MOD_CACHE.get((rad, p))
-    if base is None:
-        if rad == 1:
-            base = [(-1) % p, 1 % p]
-        else:
-            nums, dens = [], []
-            for d in divisors(rad):
-                mu = mobius(rad // d)
-                if mu == 1:
-                    nums.append(d)
-                elif mu == -1:
-                    dens.append(d)
-            poly = [1 % p]
-            for d in sorted(nums, reverse=True):
-                poly = _mul_qd_minus_1(poly, d, p)
-            for d in sorted(dens, reverse=True):
-                poly = _div_qd_minus_1(poly, d, p)
-            base = poly
-        _RADICAL_MOD_CACHE[(rad, p)] = base
-    if rad == n:
-        return base
-    spread = [0] * ((len(base) - 1) * (n // rad) + 1)
-    for i, c in enumerate(base):
-        spread[i * (n // rad)] = c
-    return spread
 
 
 # -- divisibility scan --------------------------------------------------------
@@ -119,7 +56,8 @@ class DivisibilityPattern:
 
 def _atom_hits_mod_p(p: int, params: LucasParams, horizon: int) -> list[int]:
     """Indices 2..horizon with P_n(s, t) = 0 mod p, via the symmetric-route sum
-    with companion values and (-t)^j reduced mod p."""
+    over the exact cyclotomic coefficients, with companion values and (-t)^j
+    reduced mod p."""
     s, t = params.s % p, params.t % p
     phis = [0, 1] + [euler_phi(n) for n in range(2, horizon + 1)]
     max_m = max(phis[2:], default=0)
@@ -133,7 +71,7 @@ def _atom_hits_mod_p(p: int, params: LucasParams, horizon: int) -> list[int]:
     hits = []
     for n in range(2, horizon + 1):
         m = phis[n]
-        c = _cyclotomic_mod(n, p)
+        c = cyclotomic(n).coeffs
         half = m // 2
         total = 0
         if m % 2 == 0 and c[half]:
@@ -304,7 +242,14 @@ def fit_recurrence(
 # -- the t = 0 profile ---------------------------------------------------------
 
 _T_ZERO_CHECK_LIMIT = 200
-_t_zero_checked_up_to = 1
+
+
+@cache
+def _check_t_zero(n: int) -> None:
+    """Raise unless the atom at index n with t set to zero is s^phi(n)."""
+    reduced = atom(n).subs(BiPoly.var_s(), BiPoly.zero())
+    if reduced != BiPoly.monomial(euler_phi(n), 0):
+        raise InternalConsistencyError(f"atom at t = 0 is not s^phi at index {n}")
 
 
 def t_zero_profile(s: int, horizon: int) -> list[tuple[int, int]]:
@@ -313,20 +258,11 @@ def t_zero_profile(s: int, horizon: int) -> list[tuple[int, int]]:
     The closed values are cross-checked symbolically against the atoms with t
     set to zero for indices up to 200.
     """
-    global _t_zero_checked_up_to
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     out = [(1, 1)] + [
         (n, s ** euler_phi(n)) for n in range(2, horizon + 1)
     ]
-    check_to = min(horizon, _T_ZERO_CHECK_LIMIT)
-    if check_to > _t_zero_checked_up_to:
-        s_var, zero = BiPoly.var_s(), BiPoly.zero()
-        for n in range(2, check_to + 1):
-            reduced = atom(n).subs(s_var, zero)
-            if reduced != BiPoly.monomial(euler_phi(n), 0):
-                raise InternalConsistencyError(
-                    f"atom at t = 0 is not s^phi at index {n}"
-                )
-        _t_zero_checked_up_to = check_to
+    for n in range(2, min(horizon, _T_ZERO_CHECK_LIMIT) + 1):
+        _check_t_zero(n)
     return out

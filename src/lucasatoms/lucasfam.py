@@ -3,16 +3,20 @@ W_n = alpha^n + beta^n, cyclotomic polynomials, and integer specializations.
 
 With s = alpha + beta and t = -alpha*beta, both polynomial families satisfy
 X_n = s*X_{n-1} + t*X_{n-2}; U starts 0, 1 and W starts 2, s. Every monomial
-s^i t^j of U_n has i + 2j = n - 1 (and i + 2j = n for W_n), so internally the
-recurrences run on compact "weight lists" indexed by the t-degree j.
+s^i t^j of U_n has i + 2j = n - 1 (and i + 2j = n for W_n), so each is a
+compact "weight list" indexed by the t-degree j, with the closed coefficients
+C(n-1-j, j) for U_n and n/(n-j) * C(n-j, j) for W_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import zip_longest
 
+from .errors import InternalConsistencyError
 from .exactpoly import BiPoly, UniPoly
-from .numtheory import divisors, radical
+from .numtheory import divisors, mobius, radical
 
 __all__ = [
     "LucasParams",
@@ -38,65 +42,35 @@ def discriminant(params: LucasParams) -> int:
     return params.s * params.s + 4 * params.t
 
 
-# Weight-list tables: _U_WEIGHTS[n][j] is the coefficient of s^(n-1-2j) t^j in U_n,
-# _W_WEIGHTS[n][j] the coefficient of s^(n-2j) t^j in W_n.
-_U_WEIGHTS: list[tuple[int, ...]] = [(), (1,)]
-_W_WEIGHTS: list[tuple[int, ...]] = [(2,), (1,)]
+def _weight_row(n: int, weight: int) -> list[int]:
+    """Compact coefficients of U_n (weight n - 1) or W_n (weight n) for n >= 1:
+    entry j, for 0 <= j <= weight/2, is the coefficient of s^(weight-2j) t^j.
+
+    Both closed coefficients start at 1 and step along the row by the exact
+    ratio c_{j+1} / c_j = (weight - 2j)(weight - 2j - 1) / ((j + 1)(n - 1 - j)).
+    """
+    row = [1]
+    for j in range(weight // 2):
+        row.append(
+            row[-1] * (weight - 2 * j) * (weight - 2 * j - 1) // ((j + 1) * (n - 1 - j))
+        )
+    return row
 
 
-def _extend_weights(table: list[tuple[int, ...]], n: int, weight_of_index_1: int) -> None:
-    while len(table) <= n:
-        k = len(table)
-        prev, prev2 = table[k - 1], table[k - 2]
-        length = (k - 1 + weight_of_index_1) // 2 + 1
-        row = [0] * length
-        for j, v in enumerate(prev):
-            row[j] += v
-        for j, v in enumerate(prev2):
-            row[j + 1] += v
-        table.append(tuple(row))
-
-
-def lucas_weights(n: int) -> tuple[int, ...]:
-    """Compact coefficients of U_n: entry j is the coefficient of s^(n-1-2j) t^j."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    _extend_weights(_U_WEIGHTS, n, 0)
-    return _U_WEIGHTS[n]
-
-
-def companion_weights(n: int) -> tuple[int, ...]:
-    """Compact coefficients of W_n: entry j is the coefficient of s^(n-2j) t^j."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    _extend_weights(_W_WEIGHTS, n, 1)
-    return _W_WEIGHTS[n]
-
-
-_U_POLY: dict[int, BiPoly] = {}
-_W_POLY: dict[int, BiPoly] = {}
-
-
+@cache
 def lucas_poly(n: int) -> BiPoly:
     """U_n(s, t) with U_0 = 0, U_1 = 1, U_n = s*U_{n-1} + t*U_{n-2}."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    poly = _U_POLY.get(n)
-    if poly is None:
-        poly = BiPoly.from_weight_list(n - 1, lucas_weights(n)) if n else BiPoly.zero()
-        _U_POLY[n] = poly
-    return poly
+    return BiPoly.from_weight_list(n - 1, _weight_row(n, n - 1)) if n else BiPoly.zero()
 
 
+@cache
 def companion_poly(n: int) -> BiPoly:
     """W_n(s, t) = alpha^n + beta^n, with W_0 = 2 and W_1 = s."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    poly = _W_POLY.get(n)
-    if poly is None:
-        poly = BiPoly.from_weight_list(n, companion_weights(n))
-        _W_POLY[n] = poly
-    return poly
+    return BiPoly.from_weight_list(n, _weight_row(n, n)) if n else BiPoly.constant(2)
 
 
 def lucas_int(n: int, params: LucasParams) -> int:
@@ -119,31 +93,46 @@ def companion_int(n: int, params: LucasParams) -> int:
     return w0
 
 
-_CYCLOTOMIC: dict[int, UniPoly] = {}
+def _mul_qd_minus_1(a: list[int], d: int) -> list[int]:
+    """a(q) * (q^d - 1)."""
+    out = [0] * d + a
+    for i, v in enumerate(a):
+        out[i] -= v
+    return out
 
 
+def _div_qd_minus_1(a: list[int], d: int) -> list[int]:
+    """Exact quotient a(q) / (q^d - 1) by synthetic division from the top.
+
+    Raises InternalConsistencyError on a nonzero remainder: every caller
+    divides a product that q^d - 1 must divide.
+    """
+    q = a[d:]
+    for k in range(len(q) - d - 1, -1, -1):
+        q[k] += q[k + d]
+    if any(x + y for x, y in zip_longest(a[:d], q[:d], fillvalue=0)):
+        raise InternalConsistencyError(f"inexact division by q^{d} - 1")
+    return q
+
+
+@cache
 def cyclotomic(n: int) -> UniPoly:
     """The n-th cyclotomic polynomial in q, monic over the integers.
 
-    Squarefree indices come from the division sieve (q^n - 1 divided exactly by
-    the product of the cyclotomics of the proper divisors); other indices are
-    the radical's polynomial with q replaced by q^(n/rad).
+    Squarefree indices are the Mobius product prod_{d | n} (q^d - 1)^(mu(n/d)),
+    built by linear-time multiply and divide steps by q^d - 1; other indices
+    are the radical's polynomial with q replaced by q^(n/rad).
     """
     if n < 1:
         raise ValueError("index must be positive")
-    poly = _CYCLOTOMIC.get(n)
-    if poly is not None:
-        return poly
-    if n == 1:
-        poly = UniPoly((-1, 1))
-    else:
-        rad = radical(n)
-        if rad != n:
-            poly = cyclotomic(rad).inflate(n // rad)
-        else:
-            den = UniPoly.one()
-            for d in divisors(n)[:-1]:
-                den = den * cyclotomic(d)
-            poly = UniPoly.q_power_minus_one(n).exact_div(den)
-    _CYCLOTOMIC[n] = poly
-    return poly
+    rad = radical(n)
+    if rad != n:
+        return cyclotomic(rad).inflate(n // rad)
+    poly = [1]
+    for d in divisors(n):
+        if mobius(n // d) == 1:
+            poly = _mul_qd_minus_1(poly, d)
+    for d in divisors(n):
+        if mobius(n // d) == -1:
+            poly = _div_qd_minus_1(poly, d)
+    return UniPoly(poly)

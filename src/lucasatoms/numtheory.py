@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from functools import lru_cache
+from functools import cache
 
 __all__ = [
     "DETERMINISTIC_PRIMALITY_BOUND",
@@ -95,7 +95,7 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             return g
 
 
-@lru_cache(maxsize=None)
+@cache
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, exponent), ...) with primes ascending."""
     if n < 1:
@@ -128,7 +128,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(facts.items()))
 
 
-@lru_cache(maxsize=None)
+@cache
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n >= 1, ascending."""
     if n < 1:
@@ -139,7 +139,7 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
+@cache
 def euler_phi(n: int) -> int:
     """Count of 1 <= j <= n with gcd(j, n) = 1."""
     if n < 1:
@@ -150,7 +150,7 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def mobius(n: int) -> int:
     """0 if n is not squarefree, else (-1)^(number of prime factors)."""
     if n < 1:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .atoms import atom_eval
 from .errors import InternalConsistencyError
@@ -127,7 +127,7 @@ def _lucas_mod(n: int, params: LucasParams, p: int) -> int:
     return u0
 
 
-@lru_cache(maxsize=None)
+@cache
 def rank_of_appearance(p: int, params: LucasParams) -> RankResult:
     """Least k >= 1 with p | U_k, searched over the divisors of p - (Delta/p)."""
     if not is_prime(p):
@@ -151,7 +151,7 @@ def rank_of_appearance(p: int, params: LucasParams) -> RankResult:
     )
 
 
-@lru_cache(maxsize=None)
+@cache
 def classify(p: int, params: LucasParams) -> ValuationCase:
     """The unique valuation regime of (p, s, t); t = 0 is rejected."""
     if not is_prime(p):

@@ -79,9 +79,12 @@ def test_checked_route_detects_disagreement(monkeypatch):
     import lucasatoms.atoms as atoms_module
 
     monkeypatch.setattr(atoms_module, "atom_division", lambda n: BiPoly.constant(99))
-    monkeypatch.setattr(atoms_module, "_CHECKED_CACHE", {})
-    with pytest.raises(InternalConsistencyError):
-        atoms_module.atom(10, "checked")
+    atoms_module._atom_checked.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError):
+            atoms_module.atom(10, "checked")
+    finally:
+        atoms_module._atom_checked.cache_clear()
 
 
 def test_factorization_identity_to_100():

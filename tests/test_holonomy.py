@@ -4,14 +4,13 @@ import pytest
 
 from lucasatoms.atoms import atom_eval
 from lucasatoms.holonomy import (
-    _cyclotomic_mod,
     _eventually_periodic,
     divisibility_scan,
     fit_recurrence,
     recurrence_row,
     t_zero_profile,
 )
-from lucasatoms.lucasfam import LucasParams, cyclotomic
+from lucasatoms.lucasfam import LucasParams
 from lucasatoms.valuations import vp_atom_oracle
 
 FIB = LucasParams(1, 1)
@@ -49,13 +48,6 @@ def test_scan_rejects_bad_inputs():
         divisibility_scan(2, LucasParams(1, -1), 50)  # atom vanishes at 3
     with pytest.raises(ValueError):
         divisibility_scan(4, FIB, 50)
-
-
-def test_cyclotomic_mod_matches_exact():
-    for p in (2, 5):
-        for n in range(1, 151):
-            exact = [c % p for c in cyclotomic(n).coeffs]
-            assert _cyclotomic_mod(n, p) == exact, (p, n)
 
 
 def test_eventually_periodic_helper():

@@ -1,8 +1,13 @@
+import sys
+import threading
+
 import pytest
 
+from lucasatoms.errors import InternalConsistencyError
 from lucasatoms.exactpoly import BiPoly, UniPoly
 from lucasatoms.lucasfam import (
     LucasParams,
+    _div_qd_minus_1,
     companion_int,
     companion_poly,
     cyclotomic,
@@ -78,11 +83,20 @@ def test_cyclotomic_examples():
 
 
 def test_cyclotomic_product_identity():
-    for n in range(1, 201):
+    # 210, 330 and 1155 have four distinct prime factors
+    for n in list(range(1, 201)) + [210, 330, 1155]:
         prod = UniPoly.one()
         for d in divisors(n):
             prod = prod * cyclotomic(d)
         assert prod == UniPoly.q_power_minus_one(n)
+
+
+def test_qd_minus_1_division_rejects_a_remainder():
+    q6_minus_1 = list(UniPoly.q_power_minus_one(6).coeffs)
+    assert _div_qd_minus_1(q6_minus_1, 2) == [1, 0, 1, 0, 1]
+    q6_minus_q = [0, -1, 0, 0, 0, 0, 1]  # q^6 - q = (q^2 - 1)(q^4 + q^2 + 1) + q - 1
+    with pytest.raises(InternalConsistencyError):
+        _div_qd_minus_1(q6_minus_q, 2)
 
 
 def test_cyclotomic_palindromic_and_monic():
@@ -116,3 +130,34 @@ def test_discriminant():
     assert discriminant(LucasParams(1, 1)) == 5
     assert discriminant(LucasParams(2, -1)) == 0
     assert discriminant(LucasParams(0, 1)) == 4
+
+
+def test_concurrent_first_builds_agree_with_integer_recurrence():
+    indices = range(2400, 2408)  # above every index the rest of the suite builds
+    built, errors = [], []
+
+    def build(offset):
+        try:
+            for k in range(len(indices)):
+                n = indices[(k + offset) % len(indices)]
+                built.append((n, lucas_poly(n), companion_poly(n)))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(8)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(built) == 8 * len(indices)
+    fib = LucasParams(1, 1)
+    for n, u, w in built:
+        assert u.eval(1, 1) == lucas_int(n, fib), n
+        assert w.eval(1, 1) == companion_int(n, fib), n
