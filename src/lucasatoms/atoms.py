@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import zip_longest
 from typing import Mapping
 
 from .errors import InternalConsistencyError
 from .exactpoly import BiPoly, exact_div_in_s
-from .lucasfam import LucasParams, cyclotomic, lucas_poly
+from .lucasfam import LucasParams, _weight_row, cyclotomic, lucas_poly
 from .numtheory import divisors, euler_phi, factorize, is_prime
 
 __all__ = [
@@ -50,32 +49,18 @@ ROUTES = ("symmetric", "division", "reduction", "checked")
 def _atom_weight_list(n: int) -> tuple[int, list[int]]:
     """(phi(n), compact coefficients of P_n) by the additive symmetric formula.
 
-    Streams the companion weight lists W_1..W_m so no table of large rows is
-    retained; entry j of the result is the coefficient of s^(m-2j) t^j.
+    Builds only the closed-form rows W_{m-2j} with c_j != 0, W_0 entering the
+    middle term as 1; entry j of the result is the coefficient of s^(m-2j) t^j.
     """
     m = euler_phi(n)
     c = cyclotomic(n).coeffs
-    half = m // 2
-    acc = [0] * (half + 1)
-    if m % 2 == 0:
-        mid = c[half]
-        if mid:
-            acc[half] = mid if half % 2 == 0 else -mid
-    w_prev2 = [2]  # W_0
-    w_k = [1]  # W_1
-    for k in range(1, m + 1):
-        if k > 1:
-            row = [w_k[0]]
-            row.extend(a + b for a, b in zip_longest(w_k[1:], w_prev2, fillvalue=0))
-            w_prev2, w_k = w_k, row
-        if (m - k) % 2 == 0:
-            j = (m - k) // 2
-            coef = c[j]
-            if coef:
-                if j % 2:
-                    coef = -coef
-                stop = j + len(w_k)
-                acc[j:stop] = [a + coef * w for a, w in zip(acc[j:stop], w_k)]
+    acc = [0] * (m // 2 + 1)
+    for j in range(m // 2 + 1):
+        coef = -c[j] if j % 2 else c[j]
+        if coef:
+            k = m - 2 * j
+            row = _weight_row(k, k) if k else [1]
+            acc[j:] = [a + coef * w for a, w in zip(acc[j:], row)]
     return m, acc
 
 

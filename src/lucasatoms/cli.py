@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .atoms import atom, atom_eval, decompose_ratio, lucanomial, prime_search
 from .errors import InternalConsistencyError
-from .exactpoly import BiPoly, UniPoly
 from .holonomy import divisibility_scan, fit_recurrence, t_zero_profile
 from .lucasfam import (
     LucasParams,
@@ -48,10 +46,6 @@ def _int_list(text: str) -> list[int]:
         return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
-
-
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,13 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _poly_payload(poly: BiPoly | UniPoly) -> str:
-    return str(poly)
-
-
-def _eval_lines(
-    poly_kind: str, n: int, eval_at: list[int] | None, value_fn
-) -> tuple[dict, list[str]]:
+def _eval_lines(n: int, eval_at: list[int] | None, value_fn) -> tuple[dict, list[str]]:
     payload: dict = {}
     lines: list[str] = []
     if eval_at is not None:
@@ -149,7 +137,7 @@ def _run_atom(args) -> tuple[dict, list[str], list[str]]:
     poly = atom(args.n, route)
     payload = {"n": args.n, "route": route, "polynomial": str(poly)}
     lines = [str(poly)]
-    extra, extra_lines = _eval_lines("atom", args.n, args.eval_at, atom_eval)
+    extra, extra_lines = _eval_lines(args.n, args.eval_at, atom_eval)
     payload.update(extra)
     return payload, lines + extra_lines, []
 
@@ -161,7 +149,7 @@ def _run_family(args) -> tuple[dict, list[str], list[str]]:
         poly, value_fn = companion_poly(args.n), companion_int
     payload = {"n": args.n, "polynomial": str(poly)}
     lines = [str(poly)]
-    extra, extra_lines = _eval_lines(args.command, args.n, args.eval_at, value_fn)
+    extra, extra_lines = _eval_lines(args.n, args.eval_at, value_fn)
     payload.update(extra)
     return payload, lines + extra_lines, []
 
@@ -205,12 +193,9 @@ def _run_lucanomial(args) -> tuple[dict, list[str], list[str]]:
         "exponents: " + (" ".join(f"{d}^{e}" for d, e in exponents.items()) or "1"),
         str(poly),
     ]
-    if args.eval_at is not None:
-        s0, t0 = args.eval_at
-        value = poly.eval(s0, t0)
-        payload["eval"] = {"s": s0, "t": t0, "value": value}
-        lines.append(f"at s={s0}, t={t0}: {value}")
-    return payload, lines, []
+    extra, extra_lines = _eval_lines(args.n, args.eval_at, lambda n, p: poly.eval(p.s, p.t))
+    payload.update(extra)
+    return payload, lines + extra_lines, []
 
 
 def _run_val(args) -> tuple[dict, list[str], list[str]]:
@@ -317,14 +302,14 @@ def _run_fit(args) -> tuple[dict, list[str], list[str]]:
         "coefficients": (
             None
             if fit.coefficients is None
-            else [[_fraction_str(c) for c in row] for row in fit.coefficients]
+            else [[str(c) for c in row] for row in fit.coefficients]
         ),
         "dimension": fit.dimension,
         "witness_end": fit.witness_end,
         "certificate": (
             None
             if fit.certificate is None
-            else [_fraction_str(c) for c in fit.certificate]
+            else [str(c) for c in fit.certificate]
         ),
     }
     if fit.status == "refuted":
@@ -333,7 +318,7 @@ def _run_fit(args) -> tuple[dict, list[str], list[str]]:
         lines = [f"fit: dimension={fit.dimension}"]
         for j, row in enumerate(fit.coefficients or ()):
             terms = " + ".join(
-                f"{_fraction_str(c)}*n^{r}" if r else _fraction_str(c)
+                f"{c}*n^{r}" if r else str(c)
                 for r, c in enumerate(row)
                 if c
             )

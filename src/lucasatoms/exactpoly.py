@@ -7,8 +7,9 @@ coefficient list c_0..c_m with nonzero top coefficient. Both are immutable by
 convention and print in a fixed canonical text form that doubles as the
 equality witness in golden tests.
 
-solve_rational is exact Gaussian elimination over fractions.Fraction, with an
-explicit row-combination certificate on inconsistency.
+solve_rational is exact row-by-row elimination over fractions.Fraction. On
+inconsistency its certificate's last nonzero entry is the first row whose
+prefix is inconsistent.
 """
 
 from __future__ import annotations
@@ -426,7 +427,7 @@ class UniPoly:
 
 @dataclass(frozen=True)
 class LinearSolveResult:
-    """Outcome of exact Gaussian elimination on A x = b.
+    """Outcome of exact elimination on A x = b.
 
     status is "solution" (unique, dimension 0), "underdetermined" (a witness
     solution plus the solution-space dimension), or "inconsistent" (a row
@@ -443,7 +444,15 @@ def solve_rational(
     rows: Sequence[Sequence[int | Fraction]],
     rhs: Sequence[int | Fraction],
 ) -> LinearSolveResult:
-    """Solve A x = b exactly over the rationals."""
+    """Solve A x = b exactly over the rationals by row-by-row elimination.
+
+    Each row is reduced against the pivot rows kept so far, in insertion
+    order, and kept as a pivot at its first nonzero column if it has one.
+    The solve stops at the first row that reduces to [0 ... 0 | nonzero], so
+    the certificate's last nonzero entry is the first row whose prefix is
+    inconsistent. Otherwise back-substitution with the free variables at 0
+    gives the same solution as Gauss-Jordan elimination.
+    """
     m = len(rows)
     if m == 0:
         raise ValueError("the system needs at least one row")
@@ -451,42 +460,30 @@ def solve_rational(
     if any(len(row) != n for row in rows) or len(rhs) != m:
         raise ValueError("dimension mismatch between rows and right-hand side")
 
-    a = [[Fraction(x) for x in row] for row in rows]
-    b = [Fraction(x) for x in rhs]
-    track = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-
-    pivot_cols: list[int] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if pivot is None:
+    # (pivot column, row scaled to 1 there, its rhs, its row combination)
+    pivots: list[tuple[int, list[Fraction], Fraction, list[Fraction]]] = []
+    for i, (row, rhs_i) in enumerate(zip(rows, rhs)):
+        a = [Fraction(x) for x in row]
+        b = Fraction(rhs_i)
+        comb = [Fraction(0)] * i + [Fraction(1)]
+        for col, p_row, p_b, p_comb in pivots:
+            f = a[col]
+            if f:
+                a = [x - f * y for x, y in zip(a, p_row)]
+                b -= f * p_b
+                comb[: len(p_comb)] = [x - f * y for x, y in zip(comb, p_comb)]
+        col = next((c for c, v in enumerate(a) if v), None)
+        if col is None:
+            if b:
+                certificate = comb + [Fraction(0)] * (m - 1 - i)
+                return LinearSolveResult("inconsistent", None, None, tuple(certificate))
             continue
-        a[row], a[pivot] = a[pivot], a[row]
-        b[row], b[pivot] = b[pivot], b[row]
-        track[row], track[pivot] = track[pivot], track[row]
-        inv = 1 / a[row][col]
-        if inv != 1:
-            a[row] = [v * inv for v in a[row]]
-            b[row] *= inv
-            track[row] = [v * inv for v in track[row]]
-        for r in range(m):
-            f = a[r][col]
-            if r != row and f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-                b[r] -= f * b[row]
-                track[r] = [x - f * y for x, y in zip(track[r], track[row])]
-        pivot_cols.append(col)
-        row += 1
-        if row == m:
-            break
-
-    for r in range(row, m):
-        if b[r] != 0:
-            return LinearSolveResult("inconsistent", None, None, tuple(track[r]))
+        inv = 1 / a[col]
+        pivots.append((col, [v * inv for v in a], b * inv, [v * inv for v in comb]))
 
     x = [Fraction(0)] * n
-    for r, col in enumerate(pivot_cols):
-        x[col] = b[r]
-    dim = n - len(pivot_cols)
+    for col, p_row, p_b, _ in reversed(pivots):
+        x[col] = p_b - sum(v * w for v, w in zip(p_row, x))
+    dim = n - len(pivots)
     status = "solution" if dim == 0 else "underdetermined"
     return LinearSolveResult(status, tuple(x), dim, None)

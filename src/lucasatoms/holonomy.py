@@ -194,31 +194,26 @@ def fit_recurrence(
             f"window too short: need at least {2 * unknowns} equations"
         )
     values = _sequence_values(params, n_start - order, n_end)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    result = None
-    for n in range(n_start, n_end + 1):
-        row, b = recurrence_row(values, n, order, degree)
-        rows.append(row)
-        rhs.append(b)
-        result = solve_rational(rows, rhs)
-        if result.status == "inconsistent":
-            return RecurrenceFit(
-                order=order,
-                degree=degree,
-                window=(n_start, n_end),
-                status="refuted",
-                coefficients=None,
-                dimension=None,
-                witness_end=n,
-                certificate=result.certificate,
-            )
-    assert result is not None and result.solution is not None
+    window = range(n_start, n_end + 1)
+    rows, rhs = zip(*(recurrence_row(values, n, order, degree) for n in window))
+    result = solve_rational(rows, rhs)
+    if result.status == "inconsistent":
+        last = max(i for i, y in enumerate(result.certificate) if y)
+        return RecurrenceFit(
+            order=order,
+            degree=degree,
+            window=(n_start, n_end),
+            status="refuted",
+            coefficients=None,
+            dimension=None,
+            witness_end=n_start + last,
+            certificate=result.certificate[: last + 1],
+        )
     coeffs = tuple(
         tuple(result.solution[j * (degree + 1) + r] for r in range(degree + 1))
         for j in range(order + 1)
     )
-    for n in range(n_start, n_end + 1):  # re-validate before reporting
+    for n in window:  # re-validate before reporting
         total = sum(coeffs[0][r] * n**r for r in range(degree + 1))
         for j in range(1, order + 1):
             gj = sum(coeffs[j][r] * n**r for r in range(degree + 1))

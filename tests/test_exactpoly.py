@@ -208,3 +208,45 @@ def test_solve_consistent_systems_verify(rows, x):
     sol = res.solution
     for row, b in zip(rows, rhs):
         assert sum(Fraction(a) * v for a, v in zip(row, sol)) == b
+
+
+def test_solve_sets_free_variables_to_zero():
+    res = solve_rational([[0, 1, 1], [1, 0, 1]], [2, 3])
+    assert res.status == "underdetermined"
+    assert res.solution == (Fraction(3), Fraction(2), Fraction(0))
+    assert res.dimension == 1
+
+
+def test_solve_certificate_stops_at_first_inconsistent_row():
+    res = solve_rational([[1], [1], [1]], [1, 1, 2])
+    assert res.status == "inconsistent"
+    assert res.certificate == (Fraction(-1), Fraction(0), Fraction(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(st.integers(-2, 2), min_size=2, max_size=2), st.integers(-2, 2)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.data(),
+)
+def test_solve_certificate_ends_at_first_inconsistent_prefix(system, data):
+    # repeating an earlier row with another right-hand side forces inconsistency
+    row, b = data.draw(st.sampled_from(system))
+    rows = [r for r, _ in system] + [row]
+    rhs = [b for _, b in system] + [b + 1]
+    res = solve_rational(rows, rhs)
+    assert res.status == "inconsistent"
+    y = res.certificate
+    assert len(y) == len(rows)
+    for col in range(2):
+        assert sum(yi * r[col] for yi, r in zip(y, rows)) == 0
+    assert sum(yi * bi for yi, bi in zip(y, rhs)) != 0
+    last = max(i for i, yi in enumerate(y) if yi)
+    if last:  # the prefix before the last certificate row is consistent
+        prefix = solve_rational(rows[:last], rhs[:last])
+        assert prefix.status in ("solution", "underdetermined")
+        for r, bi in zip(rows[:last], rhs[:last]):
+            assert sum(a * v for a, v in zip(r, prefix.solution)) == bi

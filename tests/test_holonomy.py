@@ -82,6 +82,53 @@ def test_fit_refutation_fibonacci():
     assert sum(yi * b for yi, b in zip(y, rhs)) != 0
 
 
+def _rank(rows):
+    """Rank over the rationals by plain Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("s, t", [(1, 1), (2, 2), (3, -1)])
+def test_fit_witness_is_first_rank_jump(s, t):
+    params = LucasParams(s, t)
+    for order in range(1, 4):
+        for degree in range(3):
+            n_start = 10
+            n_end = n_start + 3 * (order + 1) * (degree + 1)  # the CLI default
+            fit = fit_recurrence(params, order, degree, n_start, n_end)
+            values = {n: atom_eval(n, params) for n in range(n_start - order, n_end + 1)}
+            rows, rhs = [], []
+            first_jump = None
+            for n in range(n_start, n_end + 1):
+                row, b = recurrence_row(values, n, order, degree)
+                rows.append(row)
+                rhs.append(b)
+                augmented = [r + [bi] for r, bi in zip(rows, rhs)]
+                if _rank(augmented) > _rank(rows):
+                    first_jump = n
+                    break
+            assert fit.witness_end == first_jump, (s, t, order, degree)
+            if first_jump is None:
+                assert fit.status == "fit"
+                continue
+            assert fit.status == "refuted"
+            y = fit.certificate
+            assert len(y) == first_jump - n_start + 1
+            for col in range(len(rows[0])):
+                assert sum(yi * r[col] for yi, r in zip(y, rows)) == 0
+            assert sum(yi * b for yi, b in zip(y, rhs)) != 0
+
+
 def test_fit_refutation_low_order():
     fit = fit_recurrence(LucasParams(2, 2), 1, 0, 10, 40)
     assert fit.status == "refuted"
