@@ -5,8 +5,10 @@ For fixed integers (s, t) with t != 0, the indices n with p | P_n(s, t) form
 geometric families like {k p^h}, so the hit indicator is not eventually
 periodic for any period and the sequence P_n(s, t) satisfies no recurrence
 P_n = G_0(n) + sum_j G_j(n) P_{n-j} with polynomial coefficients. The scan
-checks the mod-p hit set against the closed valuation forms and decides
-finite-horizon AP-expressibility; the fitter builds the exact linear system
+takes v_p(P_n) from exact U_n valuations by Mobius inversion, with no
+cyclotomic and O(N log N) sieve steps on top of the O(N) recurrence, checks
+the hit set against the closed valuation forms and decides finite-horizon
+AP-expressibility in O(N); the fitter builds the exact linear system
 for candidate (order, degree) pairs and returns either a validated fit or the
 minimal inconsistent window prefix with a certificate.
 """
@@ -20,7 +22,7 @@ from functools import cache
 from .atoms import atom, atom_eval
 from .errors import InternalConsistencyError
 from .exactpoly import BiPoly, solve_rational
-from .lucasfam import LucasParams, cyclotomic
+from .lucasfam import LucasParams
 from .numtheory import euler_phi, is_prime
 from .valuations import vp_atom_closed, zero_atom_indices
 
@@ -54,34 +56,31 @@ class DivisibilityPattern:
     ap_expressible: bool
 
 
-def _atom_hits_mod_p(p: int, params: LucasParams, horizon: int) -> list[int]:
-    """Indices 2..horizon with P_n(s, t) = 0 mod p, via the symmetric-route sum
-    over the exact cyclotomic coefficients, with companion values and (-t)^j
-    reduced mod p."""
-    s, t = params.s % p, params.t % p
-    phis = [0, 1] + [euler_phi(n) for n in range(2, horizon + 1)]
-    max_m = max(phis[2:], default=0)
-    w = [2 % p, s]  # W_k mod p
-    for _ in range(2, max_m + 1):
-        w.append((s * w[-1] + t * w[-2]) % p)
-    neg_t = (-params.t) % p
-    pow_neg_t = [1 % p]
-    for _ in range(max_m // 2):
-        pow_neg_t.append(pow_neg_t[-1] * neg_t % p)
-    hits = []
-    for n in range(2, horizon + 1):
-        m = phis[n]
-        c = cyclotomic(n).coeffs
-        half = m // 2
-        total = 0
-        if m % 2 == 0 and c[half]:
-            total = c[half] * pow_neg_t[half]
-        for j in range(half - 1 + (m % 2), -1, -1):
-            if c[j]:
-                total += c[j] * pow_neg_t[j] * w[m - 2 * j]
-        if total % p == 0:
-            hits.append(n)
-    return hits
+def _atom_valuations(p: int, params: LucasParams, horizon: int) -> list[int]:
+    """v_p(P_n(s, t)) at index n for 0 <= n <= horizon (entries 0 and 1 are 0).
+
+    The exact recurrence keeps (U_{n-1}, U_n) as p^g (x, y) with p not dividing
+    both x and y, so each step strips only the factors of p it gained: N steps
+    on integers of O(n) bits, even where v_p(U_n) grows linearly in n. The
+    atom valuations are the Mobius inversion of v_p(U_n) = sum_{d | n} v_p(P_d),
+    a sieve over multiples with sum N/d steps. Needs U_n != 0 for n >= 1.
+    """
+    s, t = params.s, params.t
+    vals = [0, 0]
+    x, y, g = 0, 1, 0
+    for _ in range(2, horizon + 1):
+        x, y = y, s * y + t * x
+        e, z = g, y
+        while z % p == 0:
+            e, z = e + 1, z // p
+        while e > g and x % p == 0:
+            x, y, g = x // p, y // p, g + 1
+        vals.append(e)
+    for d in range(2, horizon // 2 + 1):
+        if vals[d]:
+            for m in range(2 * d, horizon + 1, d):
+                vals[m] -= vals[d]
+    return vals
 
 
 def _eventually_periodic(indicator: list[bool], horizon: int) -> bool:
@@ -89,15 +88,20 @@ def _eventually_periodic(indicator: list[bool], horizon: int) -> bool:
 
     A genuinely (APs + finite set)-shaped hit set keeps its transient part in
     the early horizon, so requiring the periodic tail to start by horizon/3
-    leaves at least a full third of the horizon as evidence.
+    leaves at least a full third of the horizon as evidence. The least period
+    of indicator[tail..horizon] is its length minus its longest proper border,
+    read off the prefix function in linear time.
     """
-    tail = max(2, horizon // 3)
-    for q in range(1, horizon // 3 + 1):
-        if all(
-            indicator[i] == indicator[i + q] for i in range(tail, horizon - q + 1)
-        ):
-            return True
-    return False
+    seg = indicator[max(2, horizon // 3) : horizon + 1]
+    border = [0] * len(seg)
+    k = 0
+    for i in range(1, len(seg)):
+        while k and seg[i] != seg[k]:
+            k = border[k - 1]
+        if seg[i] == seg[k]:
+            k += 1
+        border[i] = k
+    return 0 < len(seg) - k <= horizon // 3
 
 
 def divisibility_scan(p: int, params: LucasParams, horizon: int) -> DivisibilityPattern:
@@ -113,13 +117,11 @@ def divisibility_scan(p: int, params: LucasParams, horizon: int) -> Divisibility
         raise ValueError(
             f"degenerate parameters: atom value vanishes at {sorted(zeros)}"
         )
-    hits = _atom_hits_mod_p(p, params, horizon)
+    indicator = [v > 0 for v in _atom_valuations(p, params, horizon)]
+    hits = [n for n, hit in enumerate(indicator) if hit]
     expected = [
         n for n in range(2, horizon + 1) if vp_atom_closed(p, params, n) > 0
     ]
-    indicator = [False] * (horizon + 1)
-    for n in hits:
-        indicator[n] = True
     return DivisibilityPattern(
         prime=p,
         params=params,

@@ -145,6 +145,20 @@ def test_scan_output(capsys):
     assert lines[2] == "ap_expressible: false"
 
 
+def test_scan_linear_valuation_regime_json(capsys):
+    # p | s and p | t with b < 2a: v_3(P_n) grows with phi(n), every n >= 2 hits
+    code, out, err = run_cli(
+        capsys, "--json", "scan", "--p", "3", "--s", "-9", "--t", "-6", "--limit", "300"
+    )
+    hits = ", ".join(str(n) for n in range(2, 301))
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"command": "scan", "inputs": {"limit": 300, "p": 3, "s": -9, "t": -6}, '
+        '"result": {"p": 3, "s": -9, "t": -6, "limit": 300, "hits": [' + hits + "], "
+        '"matches_closed_form": true, "ap_expressible": true}, "warnings": []}\n'
+    )
+
+
 def test_fit_output(capsys):
     code, out, _ = run_cli(
         capsys, "--json", "fit", "--s", "1", "--t", "1", "--order", "2", "--degree", "2",

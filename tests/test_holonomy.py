@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucasatoms.atoms import atom_eval
 from lucasatoms.holonomy import (
@@ -10,8 +12,14 @@ from lucasatoms.holonomy import (
     recurrence_row,
     t_zero_profile,
 )
-from lucasatoms.lucasfam import LucasParams
-from lucasatoms.valuations import vp_atom_oracle
+from lucasatoms.lucasfam import LucasParams, cyclotomic
+from lucasatoms.numtheory import euler_phi
+from lucasatoms.valuations import (
+    Regime,
+    classify,
+    vp_atom_oracle,
+    zero_atom_indices,
+)
 
 FIB = LucasParams(1, 1)
 
@@ -41,6 +49,69 @@ def test_scan_matches_integer_oracle():
         assert pattern.matches
 
 
+def _hits_by_cyclotomic_sum(p, params, horizon):
+    """Indices 2..horizon with P_n(s, t) = 0 mod p, from the symmetric-route sum
+    over the exact cyclotomic coefficients, with W_k and (-t)^j reduced mod p.
+
+    An independent oracle for the scan: it reads neither U_n nor valuations.
+    """
+    s, t = params.s % p, params.t % p
+    phis = [0, 1] + [euler_phi(n) for n in range(2, horizon + 1)]
+    max_m = max(phis[2:], default=0)
+    w = [2 % p, s]  # W_k mod p
+    for _ in range(2, max_m + 1):
+        w.append((s * w[-1] + t * w[-2]) % p)
+    neg_t = (-params.t) % p
+    pow_neg_t = [1 % p]
+    for _ in range(max_m // 2):
+        pow_neg_t.append(pow_neg_t[-1] * neg_t % p)
+    hits = []
+    for n in range(2, horizon + 1):
+        m = phis[n]
+        c = cyclotomic(n).coeffs
+        half = m // 2
+        total = 0
+        if m % 2 == 0 and c[half]:
+            total = c[half] * pow_neg_t[half]
+        for j in range(half - 1 + (m % 2), -1, -1):
+            if c[j]:
+                total += c[j] * pow_neg_t[j] * w[m - 2 * j]
+        if total % p == 0:
+            hits.append(n)
+    return tuple(hits)
+
+
+def test_scan_matches_cyclotomic_sum_oracle():
+    # Every regime: p | s and p | t, p | t only, p | s only, p coprime to st,
+    # and the zero-discriminant pairs (2, -1) and (4, -4). The oracle works
+    # mod p, so it is computed once per residue pair.
+    horizon = 300
+    oracle, regimes, scanned = {}, set(), set()
+    for p in (2, 3, 5, 7, 29):
+        for s in range(-9, 10):
+            for t in range(-9, 10):
+                params = LucasParams(s, t)
+                if t == 0 or zero_atom_indices(params):
+                    continue
+                regimes.add(classify(p, params).regime)
+                scanned.add((s, t))
+                key = (p, s % p, t % p)
+                if key not in oracle:
+                    oracle[key] = _hits_by_cyclotomic_sum(p, params, horizon)
+                pattern = divisibility_scan(p, params, horizon)
+                assert pattern.hit_indices == oracle[key], (p, s, t)
+                assert pattern.matches, (p, s, t)
+    assert regimes == set(Regime)
+    assert {(2, -1), (4, -4)} <= scanned
+
+
+def test_scan_builds_no_cyclotomic():
+    before = cyclotomic.cache_info()
+    divisibility_scan(2, FIB, 600)
+    after = cyclotomic.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
+
+
 def test_scan_rejects_bad_inputs():
     with pytest.raises(ValueError):
         divisibility_scan(2, LucasParams(7, 0), 50)
@@ -62,6 +133,46 @@ def test_eventually_periodic_helper():
     for n in (3, 6, 12, 24, 48):
         geometric[n] = True
     assert not _eventually_periodic(geometric, horizon)
+
+
+def _eventually_periodic_brute(indicator, horizon):
+    """The definition read literally: try every period Q <= horizon/3."""
+    tail = max(2, horizon // 3)
+    return any(
+        all(indicator[i] == indicator[i + q] for i in range(tail, horizon - q + 1))
+        for q in range(1, horizon // 3 + 1)
+    )
+
+
+horizons = st.one_of(st.integers(0, 5), st.integers(6, 90))
+
+
+@settings(max_examples=300, deadline=None)
+@given(horizons, st.data())
+def test_eventually_periodic_matches_definition_on_random_indicators(horizon, data):
+    indicator = data.draw(
+        st.lists(st.booleans(), min_size=horizon + 1, max_size=horizon + 1)
+    )
+    assert _eventually_periodic(indicator, horizon) == _eventually_periodic_brute(
+        indicator, horizon
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(horizons, st.data())
+def test_eventually_periodic_matches_definition_with_one_break(horizon, data):
+    # a periodic tail after a random transient, then at most one flipped bit
+    period = data.draw(st.integers(1, max(1, horizon // 2)))
+    pattern = data.draw(st.lists(st.booleans(), min_size=period, max_size=period))
+    start = data.draw(st.integers(0, horizon + 1))
+    indicator = data.draw(st.lists(st.booleans(), min_size=start, max_size=start))
+    indicator += [pattern[i % period] for i in range(start, horizon + 1)]
+    flip = data.draw(st.one_of(st.none(), st.integers(0, horizon)))
+    if flip is not None:
+        indicator[flip] = not indicator[flip]
+    assert _eventually_periodic(indicator, horizon) == _eventually_periodic_brute(
+        indicator, horizon
+    )
 
 
 def test_fit_refutation_fibonacci():
