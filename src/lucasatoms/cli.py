@@ -134,9 +134,9 @@ def _eval_lines(n: int, eval_at: list[int] | None, value_fn) -> tuple[dict, list
 
 def _run_atom(args) -> tuple[dict, list[str], list[str]]:
     route = _ROUTE_ALIASES[args.route]
-    poly = atom(args.n, route)
-    payload = {"n": args.n, "route": route, "polynomial": str(poly)}
-    lines = [str(poly)]
+    text = str(atom(args.n, route))
+    payload = {"n": args.n, "route": route, "polynomial": text}
+    lines = [text]
     extra, extra_lines = _eval_lines(args.n, args.eval_at, atom_eval)
     payload.update(extra)
     return payload, lines + extra_lines, []
@@ -147,16 +147,17 @@ def _run_family(args) -> tuple[dict, list[str], list[str]]:
         poly, value_fn = lucas_poly(args.n), lucas_int
     else:
         poly, value_fn = companion_poly(args.n), companion_int
-    payload = {"n": args.n, "polynomial": str(poly)}
-    lines = [str(poly)]
+    text = str(poly)
+    payload = {"n": args.n, "polynomial": text}
+    lines = [text]
     extra, extra_lines = _eval_lines(args.n, args.eval_at, value_fn)
     payload.update(extra)
     return payload, lines + extra_lines, []
 
 
 def _run_cyclotomic(args) -> tuple[dict, list[str], list[str]]:
-    poly = cyclotomic(args.n)
-    return {"n": args.n, "polynomial": str(poly)}, [str(poly)], []
+    text = str(cyclotomic(args.n))
+    return {"n": args.n, "polynomial": text}, [text], []
 
 
 def _run_decompose(args) -> tuple[dict, list[str], list[str]]:
@@ -183,15 +184,16 @@ def _run_decompose(args) -> tuple[dict, list[str], list[str]]:
 
 def _run_lucanomial(args) -> tuple[dict, list[str], list[str]]:
     exponents, poly = lucanomial(args.n, args.k)
+    text = str(poly)
     payload = {
         "n": args.n,
         "k": args.k,
         "exponents": {str(d): e for d, e in exponents.items()},
-        "polynomial": str(poly),
+        "polynomial": text,
     }
     lines = [
         "exponents: " + (" ".join(f"{d}^{e}" for d, e in exponents.items()) or "1"),
-        str(poly),
+        text,
     ]
     extra, extra_lines = _eval_lines(args.n, args.eval_at, lambda n, p: poly.eval(p.s, p.t))
     payload.update(extra)
@@ -368,6 +370,19 @@ def _inputs_echo(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. Values of any size print in full: CPython's limit on
+    int/str conversion is lifted for the command and put back on return."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,11 +1,20 @@
 """Exact polynomial arithmetic over arbitrary-precision integers.
 
-BiPoly is a sparse bivariate polynomial in s and t, stored as a map
-(s-degree, t-degree) -> coefficient with no zero entries; the zero polynomial
-is the empty map. UniPoly is a dense univariate polynomial in q, stored as a
-coefficient list c_0..c_m with nonzero top coefficient. Both are immutable by
-convention and print in a fixed canonical text form that doubles as the
-equality witness in golden tests.
+BiPoly is a polynomial in s and t graded by weight: the store maps each weight
+w = i + 2j of its monomials s^i t^j to a dense list whose entry j is the
+coefficient of s^(w-2j) t^j, with no trailing zeros and no empty weights, so
+equal polynomials have equal stores. U_n, W_n and every atom are one list.
+UniPoly is a dense univariate polynomial in q, stored as a coefficient list
+c_0..c_m with nonzero top coefficient. Both are immutable by convention and
+print in a fixed canonical text form that doubles as the equality witness in
+golden tests.
+
+_mul_lists is the one product kernel: schoolbook while the shorter list has
+fewer than _KRONECKER_CUTOFF entries, above that Kronecker substitution, with
+each list packed into one decimal integer and multiplied by libmpdec's
+number-theoretic transform. Division by a divisor of one weight, monic in s,
+is power-series division of the lists; every entry of f - q*g past the
+quotient must be 0, so a nonzero remainder always raises.
 
 solve_rational is exact row-by-row elimination over fractions.Fraction. On
 inconsistency its certificate's last nonzero entry is the first row whose
@@ -14,9 +23,12 @@ prefix is inconsistent.
 
 from __future__ import annotations
 
+import decimal
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from itertools import zip_longest
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "BiPoly",
@@ -25,6 +37,118 @@ __all__ = [
     "exact_div_in_s",
     "solve_rational",
 ]
+
+# Shorter-operand length from which Kronecker substitution beats schoolbook.
+_KRONECKER_CUTOFF = 40
+
+# Precision and exponent range never bind, so Inexact can only mean a bug.
+_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact],
+)
+
+
+def _trim(cs: list[int]) -> list[int]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    la = len(a)
+    out = [0] * (la + len(b) - 1)
+    for i, y in enumerate(b):
+        if y:
+            out[i : i + la] = [o + x * y for o, x in zip(out[i : i + la], a)]
+    return out
+
+
+def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # Slots of width decimal digits hold any product coefficient r with
+    # 2|r| < 10^width, so a signed slot reads back as a balanced digit.
+    bound = 2 * min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    width = bound.bit_length() * 30103 // 100000 + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < width:  # too wide for str(int) and int(str)
+        to_text, to_int = (lambda c: str(decimal.Decimal(c))), (lambda x: int(decimal.Decimal(x)))
+    else:
+        to_text, to_int = str, int
+
+    def pack(x: Sequence[int]) -> decimal.Decimal:
+        """sum_j x_j 10^(width*j), as its positive part minus its negative part."""
+        packed = decimal.Decimal("".join(to_text(max(c, 0)).zfill(width) for c in reversed(x)))
+        if min(x) < 0:
+            negative = "".join(to_text(max(-c, 0)).zfill(width) for c in reversed(x))
+            packed = _DECIMAL.subtract(packed, decimal.Decimal(negative))
+        return packed
+
+    packed_a = pack(a)
+    product = _DECIMAL.multiply(packed_a, packed_a if b is a else pack(b))
+    n = len(a) + len(b) - 1
+    digits = str(product.copy_abs()).zfill(n * width)
+    sign = -1 if product.is_signed() else 1
+    base = 10**width
+    coeffs, carry = [], 0
+    for i in range((n - 1) * width, -1, -width):
+        v = to_int(digits[i : i + width]) + carry
+        carry = 2 * v >= base
+        coeffs.append(sign * (v - base if carry else v))
+    return coeffs
+
+
+def _mul_lists(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Convolution of two nonzero coefficient lists without trailing zeros."""
+    za = next(i for i, c in enumerate(a) if c)
+    zb = next(i for i, c in enumerate(b) if c)
+    if za or zb:
+        stripped = a[za:]
+        return [0] * (za + zb) + _mul_lists(stripped, stripped if b is a else b[zb:])
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return [c * b[0] for c in a]
+    if len(b) < _KRONECKER_CUTOFF:
+        return _schoolbook(a, b)
+    return _kronecker(a, b)
+
+
+def _div_lists(f: Sequence[int], g: Sequence[int], length: int) -> list[int]:
+    """q of the given length with f = q*g, where g[0] == 1, as power series.
+
+    r runs through f - q*g: once the entries before j are eliminated, r[j] is
+    q_j. Raises ValueError unless every entry of r past the quotient is 0.
+    """
+    m = len(g) - 1
+    tail = g[1:]
+    r = list(f) + [0] * (length + m - len(f))
+    for j in range(length if m else 0):
+        c = r[j]
+        if c:
+            r[j + 1 : j + m + 1] = [x - c * y for x, y in zip(r[j + 1 : j + m + 1], tail)]
+    if any(r[length:]):
+        raise ValueError("inexact division: nonzero remainder")
+    return r[:length]
+
+
+def _add_into(store: dict[int, list[int]], w: int, cs: list[int]) -> None:
+    """store[w] += cs, dropping the weight if the sum vanishes."""
+    mine = store.get(w)
+    if mine is None:
+        store[w] = cs
+        return
+    summed = _trim([x + y for x, y in zip_longest(mine, cs, fillvalue=0)])
+    if summed:
+        store[w] = summed
+    else:
+        del store[w]
+
+
+def _from_store(store: dict[int, list[int]]) -> "BiPoly":
+    poly = object.__new__(BiPoly)
+    poly._c = store
+    return poly
 
 
 def _render_terms(parts: list[tuple[int, str]]) -> str:
@@ -39,16 +163,17 @@ def _render_terms(parts: list[tuple[int, str]]) -> str:
 
 
 class BiPoly:
-    """Sparse exact polynomial in s and t with integer coefficients."""
+    """Exact polynomial in s and t with integer coefficients, graded by weight."""
 
     __slots__ = ("_c",)
 
     def __init__(self, terms: dict[tuple[int, int], int] | None = None):
-        self._c: dict[tuple[int, int], int] = {}
-        if terms:
-            for key, value in terms.items():
-                if value:
-                    self._c[key] = value
+        self._c: dict[int, list[int]] = {}
+        for (i, j), value in (terms or {}).items():
+            if value:
+                cs = self._c.setdefault(i + 2 * j, [])
+                cs.extend([0] * (j + 1 - len(cs)))
+                cs[j] = value
 
     # -- constructors -------------------------------------------------
 
@@ -58,28 +183,29 @@ class BiPoly:
 
     @classmethod
     def one(cls) -> "BiPoly":
-        return cls({(0, 0): 1})
+        return cls.constant(1)
 
     @classmethod
     def constant(cls, c: int) -> "BiPoly":
-        return cls({(0, 0): c})
+        return _from_store({0: [c]} if c else {})
 
     @classmethod
     def var_s(cls) -> "BiPoly":
-        return cls({(1, 0): 1})
+        return _from_store({1: [1]})
 
     @classmethod
     def var_t(cls) -> "BiPoly":
-        return cls({(0, 1): 1})
+        return _from_store({2: [0, 1]})
 
     @classmethod
     def monomial(cls, i: int, j: int, c: int = 1) -> "BiPoly":
-        return cls({(i, j): c})
+        return _from_store({i + 2 * j: [0] * j + [c]} if c else {})
 
     @classmethod
     def from_weight_list(cls, weight: int, coeffs: Iterable[int]) -> "BiPoly":
         """Build sum_j coeffs[j] * s^(weight-2j) * t^j (weighted-homogeneous form)."""
-        return cls({(weight - 2 * j, j): c for j, c in enumerate(coeffs) if c})
+        cs = _trim(list(coeffs))
+        return _from_store({weight: cs} if cs else {})
 
     # -- inspection ---------------------------------------------------
 
@@ -88,26 +214,37 @@ class BiPoly:
 
     def terms(self) -> Iterator[tuple[int, int, int]]:
         """(s-degree, t-degree, coefficient) in canonical order: s desc, then t desc."""
-        for i, j in sorted(self._c, key=lambda k: (-k[0], -k[1])):
-            yield i, j, self._c[(i, j)]
+        yield from sorted(
+            (
+                (w - 2 * j, j, c)
+                for w, cs in self._c.items()
+                for j, c in enumerate(cs)
+                if c
+            ),
+            key=lambda term: (-term[0], -term[1]),
+        )
 
     def coeff(self, i: int, j: int) -> int:
-        return self._c.get((i, j), 0)
+        cs = self._c.get(i + 2 * j, ())
+        return cs[j] if 0 <= j < len(cs) else 0
 
     def s_degree(self) -> int:
         """Highest s-degree; -1 for the zero polynomial."""
-        return max((i for i, _ in self._c), default=-1)
+        return max(
+            (w - 2 * next(j for j, c in enumerate(cs) if c) for w, cs in self._c.items()),
+            default=-1,
+        )
 
     def is_weighted_homogeneous(self, w: int) -> bool:
         """True iff every stored monomial s^i t^j satisfies i + 2j = w."""
-        return all(i + 2 * j == w for i, j in self._c)
+        return all(weight == w for weight in self._c)
 
     def __len__(self) -> int:
-        return len(self._c)
+        return sum(1 for cs in self._c.values() for c in cs if c)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            return self._c == ({} if other == 0 else {(0, 0): other})
+            return self._c == ({0: [other]} if other else {})
         if isinstance(other, BiPoly):
             return self._c == other._c
         return NotImplemented
@@ -120,22 +257,14 @@ class BiPoly:
         if isinstance(other, int):
             other = BiPoly.constant(other)
         out = dict(self._c)
-        for key, value in other._c.items():
-            v = out.get(key, 0) + value
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        res = BiPoly()
-        res._c = out
-        return res
+        for w, cs in other._c.items():
+            _add_into(out, w, cs)
+        return _from_store(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        res = BiPoly()
-        res._c = {k: -v for k, v in self._c.items()}
-        return res
+        return _from_store({w: [-c for c in cs] for w, cs in self._c.items()})
 
     def __sub__(self, other: "BiPoly | int") -> "BiPoly":
         if isinstance(other, int):
@@ -147,22 +276,14 @@ class BiPoly:
 
     def __mul__(self, other: "BiPoly | int") -> "BiPoly":
         if isinstance(other, int):
-            res = BiPoly()
-            if other:
-                res._c = {k: v * other for k, v in self._c.items()}
-            return res
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self._c.items():
-            for (i2, j2), c2 in other._c.items():
-                key = (i1 + i2, j1 + j2)
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        res = BiPoly()
-        res._c = out
-        return res
+            if not other:
+                return BiPoly()
+            return _from_store({w: [c * other for c in cs] for w, cs in self._c.items()})
+        out: dict[int, list[int]] = {}
+        for wa, ca in self._c.items():
+            for wb, cb in other._c.items():
+                _add_into(out, wa + wb, _mul_lists(ca, cb))
+        return _from_store(out)
 
     __rmul__ = __mul__
 
@@ -182,75 +303,39 @@ class BiPoly:
 
     def eval(self, s0: int, t0: int) -> int:
         """Exact integer value at (s0, t0)."""
-        s_pows: dict[int, int] = {0: 1}
-        t_pows: dict[int, int] = {0: 1}
-
-        def power(cache: dict[int, int], base: int, e: int) -> int:
-            v = cache.get(e)
-            if v is None:
-                v = base**e
-                cache[e] = v
-            return v
-
-        return sum(
-            c * power(s_pows, s0, i) * power(t_pows, t0, j)
-            for (i, j), c in self._c.items()
-        )
+        total = 0
+        s2 = s0 * s0
+        for w, cs in self._c.items():
+            acc, t_pow = 0, 1  # acc = sum_j c_j (s0^2)^(n-j) t0^j after the loop
+            for c in cs:
+                acc = acc * s2 + c * t_pow
+                t_pow *= t0
+            total += acc * s0 ** (w - 2 * (len(cs) - 1))
+        return total
 
     def subs(self, s_value: "BiPoly", t_value: "BiPoly") -> "BiPoly":
-        """Substitute s -> s_value, t -> t_value and expand."""
-        if not self._c:
-            return BiPoly.zero()
-        by_s: dict[int, dict[int, int]] = {}
-        for (i, j), c in self._c.items():
-            by_s.setdefault(i, {})[j] = c
+        """Substitute s -> s_value, t -> t_value and expand.
 
-        t_exps = sorted({j for row in by_s.values() for j in row})
-        t_pows: dict[int, BiPoly] = {}
-        cur_t = BiPoly.one()
-        last = 0
-        for e in t_exps:
-            for _ in range(e - last):
-                cur_t = cur_t * t_value
-            last = e
-            t_pows[e] = cur_t
+        A weight-w list c_0..c_n becomes S^(w-2n) * H(c) with
+        H(c) = sum_j c_j A^(n-j) B^j, A = S^2 and B = T, and H splits as
+        H(low + high) = A^len(high) H(low) + B^len(low) H(high).
+        """
+        power_a = _powers(s_value * s_value)
+        power_b = _powers(t_value)
 
-        acc: dict[tuple[int, int], int] = {}
-        delta_pows: dict[int, BiPoly] = {}
-        cur_s = BiPoly.one()
-        last = 0
-        for i in sorted(by_s):
-            delta = i - last
-            if delta:
-                dp = delta_pows.get(delta)
-                if dp is None:
-                    dp = s_value**delta
-                    delta_pows[delta] = dp
-                cur_s = cur_s * dp
-            last = i
-            inner = BiPoly.zero()
-            for j, c in by_s[i].items():
-                inner = inner + t_pows[j] * c
-            if len(inner._c) == 1:
-                # scaled shift of the current power, no intermediate product
-                ((di, dj), dc) = next(iter(inner._c.items()))
-                for (a, b), v in cur_s._c.items():
-                    key = (a + di, b + dj)
-                    nv = acc.get(key, 0) + v * dc
-                    if nv:
-                        acc[key] = nv
-                    else:
-                        acc.pop(key, None)
-            else:
-                for key, value in (cur_s * inner)._c.items():
-                    v = acc.get(key, 0) + value
-                    if v:
-                        acc[key] = v
-                    else:
-                        acc.pop(key, None)
-        res = BiPoly()
-        res._c = acc
-        return res
+        def halves(cs: list[int]) -> BiPoly:
+            if len(cs) == 1:
+                return BiPoly.constant(cs[0])
+            if not any(cs):
+                return BiPoly()
+            h = len(cs) // 2
+            low, high = cs[:h], cs[h:]
+            return power_a(len(high)) * halves(low) + power_b(len(low)) * halves(high)
+
+        out = BiPoly()
+        for w, cs in self._c.items():
+            out = out + s_value ** (w - 2 * (len(cs) - 1)) * halves(cs)
+        return out
 
     # -- text ------------------------------------------------------------
 
@@ -276,6 +361,18 @@ class BiPoly:
         return f"BiPoly('{self}')"
 
 
+def _powers(base: BiPoly) -> Callable[[int], BiPoly]:
+    """k -> base^k, each power built once from two smaller ones."""
+    memo = {0: BiPoly.one(), 1: base}
+
+    def power(k: int) -> BiPoly:
+        if k not in memo:
+            memo[k] = power(k // 2) * power(k - k // 2)
+        return memo[k]
+
+    return power
+
+
 def exact_div_in_s(f: BiPoly, g: BiPoly) -> BiPoly:
     """Exact quotient f / g, viewing both as polynomials in s over Z[t].
 
@@ -284,34 +381,28 @@ def exact_div_in_s(f: BiPoly, g: BiPoly) -> BiPoly:
     """
     if g.is_zero():
         raise ValueError("division by the zero polynomial")
-    k = g.s_degree()
-    lead = [(i, j, c) for i, j, c in g.terms() if i == k]
-    if lead != [(k, 0, 1)]:
+    if len(g._c) > 1:
+        # several weights: cancel the remainder's leading s-degree, one at a time
+        k = g.s_degree()
+        if [(i, j, c) for i, j, c in g.terms() if i == k] != [(k, 0, 1)]:
+            raise ValueError("divisor is not monic in s")
+        quotient, rem = BiPoly(), f
+        while not rem.is_zero():
+            d = rem.s_degree()
+            if d < k:
+                raise ValueError("inexact division: nonzero remainder")
+            lead = BiPoly({(d - k, j): c for i, j, c in rem.terms() if i == d})
+            quotient, rem = quotient + lead, rem - lead * g
+        return quotient
+    ((wg, gs),) = g._c.items()
+    if gs[0] != 1:
         raise ValueError("divisor is not monic in s")
-    tail = [(i, j, c) for i, j, c in g.terms() if i != k]
-
-    rem: dict[int, dict[int, int]] = {}
-    for i, j, c in f.terms():
-        rem.setdefault(i, {})[j] = c
-    quot: dict[tuple[int, int], int] = {}
-    while rem:
-        d = max(rem)
-        if d < k:
-            raise ValueError("inexact division: nonzero remainder")
-        top = rem.pop(d)
-        for j, c in top.items():
-            quot[(d - k, j)] = c
-            for gi, gj, gc in tail:
-                row = rem.setdefault(d - k + gi, {})
-                nj = j + gj
-                nv = row.get(nj, 0) - c * gc
-                if nv:
-                    row[nj] = nv
-                else:
-                    row.pop(nj, None)
-        for key in [key for key, row in rem.items() if not row]:
-            del rem[key]
-    return BiPoly(quot)
+    out: dict[int, list[int]] = {}
+    for w, cs in f._c.items():
+        q = _trim(_div_lists(cs, gs, max(0, (w - wg) // 2 + 1)))
+        if q:
+            out[w - wg] = q
+    return _from_store(out)
 
 
 class UniPoly:
@@ -360,12 +451,7 @@ class UniPoly:
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero() or other.is_zero():
             return UniPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly(_mul_lists(self.coeffs, other.coeffs))
 
     def exact_div(self, g: "UniPoly") -> "UniPoly":
         """Exact quotient by a monic divisor; ValueError on a nonzero remainder."""
@@ -373,20 +459,9 @@ class UniPoly:
             raise ValueError("divisor must be monic and nonzero")
         if self.is_zero():
             return UniPoly.zero()
-        dg = g.degree
-        if self.degree < dg:
-            raise ValueError("inexact division: nonzero remainder")
-        rem = list(self.coeffs)
-        q = [0] * (self.degree - dg + 1)
-        for i in range(self.degree, dg - 1, -1):
-            c = rem[i]
-            if c:
-                q[i - dg] = c
-                for jj, gc in enumerate(g.coeffs):
-                    rem[i - dg + jj] -= c * gc
-        if any(rem):
-            raise ValueError("inexact division: nonzero remainder")
-        return UniPoly(q)
+        # reversed, the monic divisor starts with 1: power-series division
+        q = _div_lists(self.coeffs[::-1], g.coeffs[::-1], max(0, self.degree - g.degree + 1))
+        return UniPoly(reversed(q))
 
     def inflate(self, k: int) -> "UniPoly":
         """Replace q by q^k."""

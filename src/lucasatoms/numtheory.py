@@ -112,9 +112,14 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 facts[step] = facts.get(step, 0) + 1
                 n //= step
         d += 6
-    # Anything that survives trial division is split with Pollard rho.
-    stack = [n] if n > 1 else []
-    rng = random.Random(n)
+    if d * d > n:
+        # no prime below d divides the leftover, so it is 1 or a prime
+        if n > 1:
+            facts[n] = 1
+        return tuple(sorted(facts.items()))
+    # Anything else that survives trial division is split with Pollard rho.
+    stack = [n]
+    rng: random.Random | None = None
     while stack:
         m = stack.pop()
         if m == 1:
@@ -122,6 +127,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         if is_prime(m):
             facts[m] = facts.get(m, 0) + 1
             continue
+        if rng is None:
+            rng = random.Random(n)
         g = _pollard_rho(m, rng)
         stack.append(g)
         stack.append(m // g)

@@ -1,10 +1,11 @@
+import contextlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from lucasatoms import cli
+from lucasatoms import LucasParams, cli, lucas_int
 
 
 def run_cli(capsys, *argv):
@@ -205,3 +206,44 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "s^2 + 2*t\n"
+
+
+# -- values beyond CPython's int/str digit limit ------------------------------------
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+)
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@needs_digit_limit
+def test_eval_value_beyond_digit_limit_prints_in_full(capsys):
+    # U_6000(10, 1) has about 6000 digits, past the default limit of 4300
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "lucas", "6000", "--eval", "10", "1")
+    assert sys.get_int_max_str_digits() == limit  # in-process callers keep it
+    assert (code, err) == (0, "")
+    with no_digit_limit():
+        expected = str(lucas_int(6000, LucasParams(10, 1)))
+    assert 0 < limit < len(expected)
+    assert out.splitlines()[-1] == f"at s=10, t=1: {expected}"
+
+
+@needs_digit_limit
+def test_eval_value_beyond_digit_limit_in_json(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "--json", "lucas", "6000", "--eval", "10", "1")
+    assert sys.get_int_max_str_digits() == limit
+    assert (code, err) == (0, "")
+    with no_digit_limit():
+        value = json.loads(out)["result"]["eval"]["value"]
+    assert value == lucas_int(6000, LucasParams(10, 1))

@@ -171,3 +171,32 @@ def test_factorize_roundtrip():
             prod *= p**e
         assert prod == n
         assert [p for p, _ in facts] == sorted({p for p, _ in facts})
+
+
+def factorize_oracle(n):
+    facts, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            facts[d] = facts.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        facts[n] = facts.get(n, 0) + 1
+    return tuple(sorted(facts.items()))
+
+
+def test_factorize_matches_trial_division_oracle():
+    for n in range(1, 20001):
+        assert factorize(n) == factorize_oracle(n), n
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(1000003, 1000033), (1000037, 3000017), (1000039, 1000039), (3000029, 3000061)],
+)
+def test_factorize_semiprimes_past_trial_division(p, q):
+    # both factors lie above the trial-division limit, so Pollard rho splits them
+    assert factorize_oracle(p) == ((p, 1),) and factorize_oracle(q) == ((q, 1),)
+    expected = ((p, 2),) if p == q else ((p, 1), (q, 1))
+    assert factorize(p * q) == expected
+    assert factorize(6 * p * q) == ((2, 1), (3, 1)) + expected
