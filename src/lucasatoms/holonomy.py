@@ -156,15 +156,6 @@ class RecurrenceFit:
     certificate: tuple[Fraction, ...] | None
 
 
-def _sequence_values(params: LucasParams, lo: int, hi: int) -> dict[int, int]:
-    """P_n(s, t) for lo <= n <= hi; the t = 0 path uses the closed profile."""
-    if params.t == 0:
-        return {
-            n: 1 if n == 1 else params.s ** euler_phi(n) for n in range(lo, hi + 1)
-        }
-    return {n: atom_eval(n, params) for n in range(lo, hi + 1)}
-
-
 def recurrence_row(
     values: dict[int, int], n: int, order: int, degree: int
 ) -> tuple[list[int], int]:
@@ -195,7 +186,7 @@ def fit_recurrence(
         raise ValueError(
             f"window too short: need at least {2 * unknowns} equations"
         )
-    values = _sequence_values(params, n_start - order, n_end)
+    values = {n: atom_eval(n, params) for n in range(n_start - order, n_end + 1)}
     window = range(n_start, n_end + 1)
     rows, rhs = zip(*(recurrence_row(values, n, order, degree) for n in window))
     result = solve_rational(rows, rhs)

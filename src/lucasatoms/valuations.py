@@ -2,24 +2,28 @@
 
 Writing s = p^a s' and t = p^b t' with p not dividing s't' (a = infinity for
 s = 0), every prime p and integer pair (s, t) with t != 0 lands in exactly one
-regime, and v_p(U_n) / v_p(P_n) have closed forms in each:
+`Regime`. With k = rho(p, U) the rank of appearance, the closed forms are two
+families and two short cases:
 
-  (i)    p odd, p ∤ t        -- governed by the rank k = rho(p, U);
-  (ii)   p = 2 ∤ t, 2 | s    -- rank 2;
-  (iii)  p = 2 ∤ st          -- rank 3;
-  (iv)   p ∤ s, p | t        -- all valuations vanish;
-  (v)    p | s, p | t, b >= 2a -- phi(n)*a, plus the reduced pair (s', t')
-                                  contribution when b = 2a;
-  (vi)   b < 2a generic       -- b*phi(n)/2, +1 at n = 2p^h, a at n = 2;
-  (vii)  p = 3, b = 2a - 1    -- as (vi) with a corrected value at n = 6
-                                  involving lambda = v_3(s'^2 + t');
-  (viii) p = 2, b = 2a - 1    -- as (vi) with the correction at n = 4 and
-                                  geometric growth 2^(h-2) b + 1 at n = 2^h.
+  p ∤ t (k = p when p | Delta; k = 2 for even s, 3 for odd s at p = 2):
+      v_p(U_n) = 0 when k ∤ n, else v_p(U_k) + v_p(n/k), except that at
+      p = 2 with 2k | n it is v_2(U_2k) + v_2(n/2k), where U_2k = U_k W_k;
+      v_p(P_n) = v_p(U_k) at n = k, v_2(W_k) at n = 2k when p = 2,
+      1 at n = k p^h with h >= 1, else 0.
+  b < 2a (s = 0 included):
+      v_p(P_n) = a at n = 2, b phi(n)/2 + 1 at n = 2p^h with h >= 1, else
+      b phi(n)/2; in the two b = 2a - 1 regimes (p = 2, 3) add
+      lambda = v_p(s'^2 + t') at n = 2p. v_p(U_{2m+1}) = b m and
+      v_p(U_{2m}) = b m + (a - b) + v_p(m), plus lambda there when p | m.
+  p ∤ s, p | t: every valuation is 0.
+  p | s, b >= 2a: phi(n) a for P_n and (n - 1) a for U_n, plus the valuation
+      at the reduced pair (s', t') when b = 2a.
 
 A Mobius route recomputes v_p(P_n) as sum_{d | n} mu(d) v_p(U_{n/d}), and a
-brute-force oracle takes the valuation of the exact integer atom value.
-Degenerate pairs (some atom value zero, possible only at indices 2, 3, 4, 6
-for t != 0) raise "valuation of zero" errors instead of classifying.
+brute-force oracle takes the valuation of the exact integer atom value. An
+atom value is zero only at indices 2, 3, 4, 6 (for t != 0). The closed forms
+and the oracle reject just an index whose value is zero, with a "valuation of
+zero" error; the Mobius route rejects n when U_d = 0 for some d | n.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from functools import cache
 
 from .atoms import atom_eval
 from .errors import InternalConsistencyError
-from .lucasfam import LucasParams, discriminant, lucas_int
+from .lucasfam import LucasParams, companion_int, discriminant, lucas_int
 from .numtheory import divisors, euler_phi, is_prime, legendre, mobius, vp_int
 
 __all__ = [
@@ -199,40 +203,23 @@ def _reduced(case: ValuationCase) -> LucasParams:
 
 
 def vp_lucas_closed(p: int, params: LucasParams, n: int) -> int:
-    """v_p(U_n(s, t)) by the closed forms, dispatched on the regime."""
+    """v_p(U_n(s, t)) by the closed forms, one per regime family."""
     if n < 1:
         raise ValueError("index must be positive")
     case = classify(p, params)
     if lucas_value_is_zero(n, params):
         raise ValueError(f"valuation of zero: U_{n}({params.s}, {params.t}) = 0")
-    regime = case.regime
+    regime, a, b, k = case.regime, case.a, case.b, case.k
 
-    if regime is Regime.COPRIME_T_ODD_P:
-        if case.delta % p == 0:
-            if n % p:
-                return 0
-            return vp_int(p, n) + vp_int(p, lucas_int(p, params)) - 1
-        k = case.k
+    if b == 0:  # p ∤ t: the rank formula, at p = 2 restarted at U_2k = U_k W_k
         if n % k:
             return 0
-        return vp_int(p, n) + vp_int(p, lucas_int(k, params))
-
-    if regime is Regime.COPRIME_T_EVEN_S:
-        if n % 2:
-            return 0
-        return vp_int(2, n) + vp_int(2, params.s) - 1  # v_2(U_2) = v_2(s)
-
-    if regime is Regime.COPRIME_T_ODD_S:
-        if n % 3:
-            return 0
-        if n % 2:
-            return vp_int(2, lucas_int(3, params))
-        return vp_int(2, n) + vp_int(2, lucas_int(6, params)) - 1
-
+        base = vp_int(p, lucas_int(k, params))
+        if p == 2 and n % (2 * k) == 0:
+            return base + vp_int(2, companion_int(k, params)) + vp_int(2, n // (2 * k))
+        return base + vp_int(p, n // k)
     if regime is Regime.DIVIDES_T_ONLY:
         return 0  # U_n = s^(n-1) mod p
-
-    a, b = case.a, case.b
     if regime is Regime.B_ABOVE_2A:
         return (n - 1) * a
     if regime is Regime.B_EQUAL_2A:
@@ -242,101 +229,51 @@ def vp_lucas_closed(p: int, params: LucasParams, n: int) -> int:
     m, r = divmod(n, 2)
     if r:
         return b * m
-    assert a is not None  # even n with s = 0 is a zero value, caught above
-    lam = 0
-    if p in (2, 3) and b == 2 * a - 1 and m % p == 0:
-        assert case.lam is not None
-        lam = case.lam
+    lam = case.lam if regime is not Regime.B_BELOW_2A_GENERIC and m % p == 0 else 0
     return b * m + (a - b) + vp_int(p, m) + lam
 
 
-def _power_exponent(x: int, p: int) -> int | None:
-    """h >= 0 with x = p^h, else None."""
+def _power_exponent(x: int, p: int) -> int:
+    """h >= 1 with x = p^h, else 0 (x >= 1)."""
     h = 0
     while x % p == 0:
         x //= p
         h += 1
-    return h if x == 1 else None
+    return h if x == 1 else 0
 
 
 def vp_atom_closed(p: int, params: LucasParams, n: int) -> int:
-    """v_p(P_n(s, t)) by the closed forms, dispatched on the regime."""
+    """v_p(P_n(s, t)) by the closed forms, one per regime family."""
     if n < 2:
         raise ValueError("index must be at least 2")
     case = classify(p, params)
     if n in zero_atom_indices(params):
         raise ValueError(f"valuation of zero: P_{n}({params.s}, {params.t}) = 0")
-    regime = case.regime
+    regime, a, b, k = case.regime, case.a, case.b, case.k
 
-    if regime is Regime.COPRIME_T_ODD_P:
-        k = case.k
+    # p ∤ t. At p = 2, W_k = U_2k / U_k is P_4 (k = 2) or P_2 P_6 with P_2 = s odd
+    if b == 0:
         if n == k:
             return vp_int(p, lucas_int(k, params))
-        if n % k == 0:
-            h = _power_exponent(n // k, p)
-            if h is not None and h >= 1:
-                return 1
-        return 0
-
-    if regime is Regime.COPRIME_T_EVEN_S:
-        if n == 2:
-            return vp_int(2, params.s)
-        h = _power_exponent(n, 2)
-        return 1 if h is not None and h >= 2 else 0
-
-    if regime is Regime.COPRIME_T_ODD_S:
-        if n == 3:
-            return vp_int(2, lucas_int(3, params))
-        if n == 6:
-            return vp_int(2, lucas_int(6, params)) - vp_int(2, lucas_int(3, params))
-        if n % 3 == 0:
-            h = _power_exponent(n // 3, 2)
-            if h is not None and h >= 2:
-                return 1
-        return 0
-
+        if p == 2 and n == 2 * k:
+            return vp_int(2, companion_int(k, params))
+        return 1 if n % k == 0 and _power_exponent(n // k, p) else 0
     if regime is Regime.DIVIDES_T_ONLY:
         return 0
-
-    a, b = case.a, case.b
     phi = euler_phi(n)
     if regime is Regime.B_ABOVE_2A:
         return phi * a
     if regime is Regime.B_EQUAL_2A:
         return phi * a + vp_atom_closed(p, _reduced(case), n)
 
-    if regime is Regime.B_EQ_2A_MINUS_1_P3:
-        if n == 2:
-            return a
-        if n == 6:
-            assert case.lam is not None
-            return b + 1 + case.lam
-        if n % 2 == 0:
-            h = _power_exponent(n // 2, 3)
-            if h is not None and h >= 2:
-                return 3 ** (h - 1) * b + 1
-        return b * phi // 2
-
-    if regime is Regime.B_EQ_2A_MINUS_1_P2:
-        if n == 2:
-            return a
-        if n == 4:
-            assert case.lam is not None
-            return b + 1 + case.lam
-        h = _power_exponent(n, 2)
-        if h is not None and h >= 3:
-            return 2 ** (h - 2) * b + 1
-        return b * phi // 2
-
-    # generic b < 2a (p outside {2, 3} or b <= 2a - 2, including s = 0)
+    # b < 2a: a at n = 2; one more at n = 2p^h, and lambda more at n = 2p
     if n == 2:
-        assert a is not None  # s = 0 makes P_2 = 0, caught above
         return a
-    if n % 2 == 0:
-        h = _power_exponent(n // 2, p)
-        if h is not None and h >= 1:
-            return b * phi // 2 + 1
-    return b * phi // 2
+    h = _power_exponent(n // 2, p) if n % 2 == 0 else 0
+    if not h:
+        return b * phi // 2
+    lam = case.lam if regime is not Regime.B_BELOW_2A_GENERIC and h == 1 else 0
+    return b * phi // 2 + 1 + lam
 
 
 def vp_atom_mobius(p: int, params: LucasParams, n: int) -> int:

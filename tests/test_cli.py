@@ -58,6 +58,20 @@ def test_val_single_method(capsys):
     assert code == 0 and out == "oracle=1\n"
 
 
+def test_val_closed_where_only_a_lucas_divisor_vanishes(capsys):
+    # U_3(1, -1) = 0 but P_6(1, -1) = -2: the closed form answers, the
+    # Mobius route (which needs v_2(U_3)) still rejects the index.
+    argv = ("val", "--p", "2", "--s", "1", "--t", "-1", "--n", "6")
+    code, out, err = run_cli(capsys, *argv, "--method", "closed")
+    assert (code, out, err) == (0, "closed=1\n", "")
+    code, out, _ = run_cli(capsys, "--json", *argv, "--method", "closed")
+    assert code == 0
+    assert json.loads(out)["result"]["values"] == {"closed": 1}
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: valuation of zero")
+
+
 def test_val_disagreement_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "vp_atom_mobius", lambda p, params, n: 99)
     code, out, err = run_cli(

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lucasatoms.atoms import atom_eval
 from lucasatoms.lucasfam import LucasParams, discriminant, lucas_int
 from lucasatoms.numtheory import divisors, euler_phi, legendre, mobius, vp_int
 from lucasatoms.valuations import (
@@ -190,6 +193,9 @@ def test_vp_atom_triple_agreement_small_grid():
         (2, 4, 2), (3, 9, 3), (5, 25, 5), (2, 1, 2), (3, 1, 3), (2, 4, 8),
         (3, 9, 27), (5, 5, 5), (2, 0, 2), (2, 0, 6),
         (2, 2, -1), (3, 2, -1), (5, 6, -9),  # zero discriminant, allowed
+        (2, 1, -1), (2, 3, -9), (2, -2, -4),  # U_3 = 0 but P_6 != 0
+        (3, 3, 6), (3, 3, 24), (2, 2, 6),  # lambda = 1, 2 at p = 3; 2 at p = 2
+        (2, 0, 1), (2, 0, 3),  # even-s regime with s = 0, P_4 = 2t
     ]
     for p, s, t in grid:
         params = LucasParams(s, t)
@@ -202,6 +208,35 @@ def test_vp_atom_triple_agreement_small_grid():
             assert c == o, (p, s, t, n, c, o)
             if not any(n % z == 0 for z in zeros):
                 assert vp_atom_mobius(p, params, n) == o, (p, s, t, n, o)
+
+
+@st.composite
+def regime_triples(draw):
+    """(p, s, t) with s = p^a u and t = p^b v, a and b in 0..3: every regime."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
+    u = draw(st.integers(-12, 12).filter(lambda x: x == 0 or x % p))
+    v = draw(st.integers(-12, 12).filter(lambda x: x % p))
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return p, LucasParams(p**a * u, p**b * v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(regime_triples())
+def test_closed_forms_match_oracles_in_every_regime(triple):
+    p, params = triple
+    for n in range(1, 61):
+        if lucas_int(n, params):
+            assert vp_lucas_closed(p, params, n) == vp_int(p, lucas_int(n, params)), n
+        else:
+            with pytest.raises(ValueError, match="zero"):
+                vp_lucas_closed(p, params, n)
+        if n == 1:
+            continue
+        if atom_eval(n, params):
+            assert vp_atom_closed(p, params, n) == vp_atom_oracle(p, params, n), n
+        else:
+            with pytest.raises(ValueError, match="zero"):
+                vp_atom_closed(p, params, n)
 
 
 def test_vp_atom_degenerate_rejected():
