@@ -11,17 +11,10 @@ import argparse
 import json
 import sys
 
-from .atoms import atom, atom_eval, decompose_ratio, lucanomial, prime_search
+from .atoms import atom, decompose_ratio, lucanomial, prime_search
 from .errors import InternalConsistencyError
 from .holonomy import divisibility_scan, fit_recurrence, t_zero_profile
-from .lucasfam import (
-    LucasParams,
-    companion_int,
-    companion_poly,
-    cyclotomic,
-    lucas_int,
-    lucas_poly,
-)
+from .lucasfam import LucasParams, companion_poly, cyclotomic, lucas_poly
 from .numtheory import DETERMINISTIC_PRIMALITY_BOUND
 from .valuations import (
     classify,
@@ -46,6 +39,11 @@ def _int_list(text: str) -> list[int]:
         return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
+
+
+def _required_ints(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", type=int, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,10 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lucan.add_argument("--eval", dest="eval_at", nargs=2, type=int, metavar=("S", "T"))
 
     p_val = sub.add_parser("val", help="p-adic valuation of an atom value")
-    p_val.add_argument("--p", type=int, required=True)
-    p_val.add_argument("--s", type=int, required=True)
-    p_val.add_argument("--t", type=int, required=True)
-    p_val.add_argument("--n", type=int, required=True)
+    _required_ints(p_val, "p", "s", "t", "n")
     p_val.add_argument(
         "--method", choices=("closed", "mobius", "oracle", "all"), default="all"
     )
@@ -92,72 +87,54 @@ def build_parser() -> argparse.ArgumentParser:
             name,
             help="rank of appearance" if name == "rank" else "valuation regime",
         )
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--s", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
+        _required_ints(p, "p", "s", "t")
 
     p_scan = sub.add_parser("scan", help="divisibility pattern of p | P_n")
-    p_scan.add_argument("--p", type=int, required=True)
-    p_scan.add_argument("--s", type=int, required=True)
-    p_scan.add_argument("--t", type=int, required=True)
-    p_scan.add_argument("--limit", type=int, required=True)
+    _required_ints(p_scan, "p", "s", "t", "limit")
 
     p_fit = sub.add_parser("fit", help="fit or refute a polynomial recurrence")
-    p_fit.add_argument("--s", type=int, required=True)
-    p_fit.add_argument("--t", type=int, required=True)
-    p_fit.add_argument("--order", type=int, required=True)
-    p_fit.add_argument("--degree", type=int, required=True)
+    _required_ints(p_fit, "s", "t", "order", "degree")
     p_fit.add_argument("--from", dest="n_from", type=int, default=None)
     p_fit.add_argument("--to", dest="n_to", type=int, default=None)
 
     p_tzero = sub.add_parser("tzero", help="the t = 0 profile s^phi(n)")
-    p_tzero.add_argument("--s", type=int, required=True)
-    p_tzero.add_argument("--limit", type=int, required=True)
+    _required_ints(p_tzero, "s", "limit")
 
     p_ps = sub.add_parser("primesearch", help="prime atom values on a grid")
     p_ps.add_argument("n", type=int)
-    p_ps.add_argument("--bound", type=int, required=True)
+    _required_ints(p_ps, "bound")
 
     return parser
 
 
-def _eval_lines(n: int, eval_at: list[int] | None, value_fn) -> tuple[dict, list[str]]:
-    payload: dict = {}
-    lines: list[str] = []
+def _poly_result(
+    payload: dict, poly, eval_at: list[int] | None, head: tuple[str, ...] = ()
+) -> tuple[dict, list[str], list[str]]:
+    """The result of a command that prints one polynomial after the lines in
+    head; under --eval, also the value of that polynomial at (S, T)."""
+    text = str(poly)
+    payload["polynomial"] = text
+    lines = [*head, text]
     if eval_at is not None:
         s0, t0 = eval_at
-        value = value_fn(n, LucasParams(s0, t0))
+        value = poly.eval(s0, t0)
         payload["eval"] = {"s": s0, "t": t0, "value": value}
         lines.append(f"at s={s0}, t={t0}: {value}")
-    return payload, lines
+    return payload, lines, []
 
 
 def _run_atom(args) -> tuple[dict, list[str], list[str]]:
     route = _ROUTE_ALIASES[args.route]
-    text = str(atom(args.n, route))
-    payload = {"n": args.n, "route": route, "polynomial": text}
-    lines = [text]
-    extra, extra_lines = _eval_lines(args.n, args.eval_at, atom_eval)
-    payload.update(extra)
-    return payload, lines + extra_lines, []
+    return _poly_result({"n": args.n, "route": route}, atom(args.n, route), args.eval_at)
 
 
 def _run_family(args) -> tuple[dict, list[str], list[str]]:
-    if args.command == "lucas":
-        poly, value_fn = lucas_poly(args.n), lucas_int
-    else:
-        poly, value_fn = companion_poly(args.n), companion_int
-    text = str(poly)
-    payload = {"n": args.n, "polynomial": text}
-    lines = [text]
-    extra, extra_lines = _eval_lines(args.n, args.eval_at, value_fn)
-    payload.update(extra)
-    return payload, lines + extra_lines, []
+    poly = (lucas_poly if args.command == "lucas" else companion_poly)(args.n)
+    return _poly_result({"n": args.n}, poly, args.eval_at)
 
 
 def _run_cyclotomic(args) -> tuple[dict, list[str], list[str]]:
-    text = str(cyclotomic(args.n))
-    return {"n": args.n, "polynomial": text}, [text], []
+    return _poly_result({"n": args.n}, cyclotomic(args.n), None)
 
 
 def _run_decompose(args) -> tuple[dict, list[str], list[str]]:
@@ -184,20 +161,9 @@ def _run_decompose(args) -> tuple[dict, list[str], list[str]]:
 
 def _run_lucanomial(args) -> tuple[dict, list[str], list[str]]:
     exponents, poly = lucanomial(args.n, args.k)
-    text = str(poly)
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "exponents": {str(d): e for d, e in exponents.items()},
-        "polynomial": text,
-    }
-    lines = [
-        "exponents: " + (" ".join(f"{d}^{e}" for d, e in exponents.items()) or "1"),
-        text,
-    ]
-    extra, extra_lines = _eval_lines(args.n, args.eval_at, lambda n, p: poly.eval(p.s, p.t))
-    payload.update(extra)
-    return payload, lines + extra_lines, []
+    payload = {"n": args.n, "k": args.k, "exponents": {str(d): e for d, e in exponents.items()}}
+    head = ("exponents: " + (" ".join(f"{d}^{e}" for d, e in exponents.items()) or "1"),)
+    return _poly_result(payload, poly, args.eval_at, head)
 
 
 def _run_val(args) -> tuple[dict, list[str], list[str]]:
@@ -372,8 +338,6 @@ def _inputs_echo(args: argparse.Namespace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     """Run one command. Values of any size print in full: CPython's limit on
     int/str conversion is lifted for the command and put back on return."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _run(argv)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

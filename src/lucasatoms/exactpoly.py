@@ -70,7 +70,7 @@ def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     # 2|r| < 10^width, so a signed slot reads back as a balanced digit.
     bound = 2 * min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
     width = bound.bit_length() * 30103 // 100000 + 1
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = sys.get_int_max_str_digits()
     if 0 < limit < width:  # too wide for str(int) and int(str)
         to_text, to_int = (lambda c: str(decimal.Decimal(c))), (lambda x: int(decimal.Decimal(x)))
     else:
@@ -151,15 +151,21 @@ def _from_store(store: dict[int, list[int]]) -> "BiPoly":
     return poly
 
 
-def _render_terms(parts: list[tuple[int, str]]) -> str:
-    # parts: (coefficient sign carried separately, term text without sign)
+def _render(terms: Iterable[tuple[int, tuple[tuple[str, int], ...]]]) -> str:
+    """Canonical text of the terms (coefficient, ((variable, exponent), ...)),
+    nonzero and in print order: "0" for none, "-" before a negative first term
+    and " + " or " - " between terms, no coefficient of absolute value 1 before
+    a variable, "*" between factors, "^" on exponents of 2 or more."""
     out: list[str] = []
-    for idx, (coeff, body) in enumerate(parts):
-        if idx == 0:
-            out.append(("-" if coeff < 0 else "") + body)
-        else:
-            out.append((" - " if coeff < 0 else " + ") + body)
-    return "".join(out)
+    for c, powers in terms:
+        body = "*".join([v if e == 1 else f"{v}^{e}" for v, e in powers if e])
+        if not body:
+            body = str(abs(c))
+        elif abs(c) != 1:
+            body = f"{abs(c)}*{body}"
+        out.append((" - " if c < 0 else " + ") if out else ("-" if c < 0 else ""))
+        out.append(body)
+    return "".join(out) or "0"
 
 
 class BiPoly:
@@ -290,14 +296,7 @@ class BiPoly:
     def __pow__(self, n: int) -> "BiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = BiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _powers(self)(n)
 
     # -- evaluation and substitution ------------------------------------
 
@@ -340,22 +339,7 @@ class BiPoly:
     # -- text ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        parts: list[tuple[int, str]] = []
-        for i, j, c in self.terms():
-            mono: list[str] = []
-            if i:
-                mono.append("s" if i == 1 else f"s^{i}")
-            if j:
-                mono.append("t" if j == 1 else f"t^{j}")
-            if not mono:
-                body = str(abs(c))
-            else:
-                pieces = ([] if abs(c) == 1 else [str(abs(c))]) + mono
-                body = "*".join(pieces)
-            parts.append((c, body))
-        return _render_terms(parts)
+        return _render((c, (("s", i), ("t", j))) for i, j, c in self.terms())
 
     def __repr__(self) -> str:
         return f"BiPoly('{self}')"
@@ -411,10 +395,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs)
+        self.coeffs: tuple[int, ...] = tuple(_trim(list(coeffs)))
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -481,20 +462,8 @@ class UniPoly:
         return total
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[tuple[int, str]] = []
-        for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
-            if not c:
-                continue
-            if e == 0:
-                body = str(abs(c))
-            else:
-                var = "q" if e == 1 else f"q^{e}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            parts.append((c, body))
-        return _render_terms(parts)
+        cs = self.coeffs
+        return _render((cs[e], (("q", e),)) for e in range(self.degree, -1, -1) if cs[e])
 
     def __repr__(self) -> str:
         return f"UniPoly('{self}')"

@@ -2,10 +2,11 @@ import contextlib
 import json
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
-from lucasatoms import LucasParams, cli, lucas_int
+from lucasatoms import LucasParams, atom_eval, cli, companion_int, lucanomial, lucas_int
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +211,43 @@ def test_primesearch_probabilistic_warning(capsys, monkeypatch):
     assert code == 0
     envelope = json.loads(out)
     assert any("probabilistic" in w for w in envelope["warnings"])
+
+
+# -- --eval against the integer routes -----------------------------------------------
+
+EVAL_POINTS = ((2, 2), (3, -1), (-4, 5), (0, 0))
+
+
+def _lucanomial_value(params):
+    value = 1
+    for d, e in lucanomial(12, 5)[0].items():
+        value *= atom_eval(d, params) ** e
+    return value
+
+
+EVAL_CASES = [
+    *(
+        (["atom", str(n), "--route", route], partial(atom_eval, n))
+        for route in ("sym", "div", "red", "checked")
+        for n in (1, 2, 12, 30, 105)
+    ),
+    *((["lucas", str(n)], partial(lucas_int, n)) for n in (0, 1, 7, 40)),
+    *((["companion", str(n)], partial(companion_int, n)) for n in (0, 1, 7, 40)),
+    (["lucanomial", "12", "5"], _lucanomial_value),
+]
+
+
+@pytest.mark.parametrize("argv, value_fn", EVAL_CASES, ids=[" ".join(c[0]) for c in EVAL_CASES])
+def test_eval_matches_the_integer_routes(capsys, argv, value_fn):
+    for s0, t0 in EVAL_POINTS:
+        expected = value_fn(LucasParams(s0, t0))
+        point = ["--eval", str(s0), str(t0)]
+        code, out, err = run_cli(capsys, *argv, *point)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f"at s={s0}, t={t0}: {expected}"
+        code, out, err = run_cli(capsys, "--json", *argv, *point)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["eval"] == {"s": s0, "t": t0, "value": expected}
 
 
 def test_module_entry_point():

@@ -137,6 +137,18 @@ def test_identity_substitution(f):
     assert f.subs(S, T) == f
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_polys, st.integers(0, 5))
+def test_power_is_the_repeated_product(f, k):
+    product = BiPoly.one()
+    for _ in range(k):
+        product = product * f
+    assert f**k == product
+    assert f**0 == BiPoly.one() and BiPoly.zero() ** 0 == BiPoly.one()
+    with pytest.raises(ValueError, match="negative power"):
+        f ** -1
+
+
 # -- univariate polynomials -------------------------------------------------------------
 
 def test_unipoly_exact_div_examples():

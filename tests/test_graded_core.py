@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lucasatoms import atom_symmetric
+from lucasatoms import atom_symmetric, companion_poly, cyclotomic, lucas_poly
 from lucasatoms.exactpoly import (
     _KRONECKER_CUTOFF,
     BiPoly,
@@ -21,6 +21,7 @@ from sparse_reference import (
     sparse_mul,
     sparse_subs,
 )
+from text_reference import bipoly_text, unipoly_text
 
 S = BiPoly.var_s()
 T = BiPoly.var_t()
@@ -228,3 +229,34 @@ def test_kronecker_products_under_concurrent_calls():
     for k, want in enumerate(expected):
         for got in results[k]:
             assert as_dict(BiPoly.from_weight_list(4 * n, got)) == want
+
+
+# -- canonical text ----------------------------------------------------------------
+
+text_coeffs = st.one_of(st.sampled_from([1, -1]), st.integers(-(10**30), 10**30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 4)), text_coeffs, max_size=8))
+def test_bipoly_text_matches_reference(terms):
+    # mixed weights, constants at (0, 0), unit and 30-digit coefficients
+    f = BiPoly(terms)
+    assert str(f) == bipoly_text(f)
+    assert str(-f) == bipoly_text(-f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0), text_coeffs), max_size=12))
+def test_unipoly_text_matches_reference(cs):
+    f, g = UniPoly(cs), UniPoly([-c for c in cs])  # one of them has a negative top
+    assert str(f) == unipoly_text(f)
+    assert str(g) == unipoly_text(g)
+
+
+def test_family_text_matches_reference():
+    for n in range(201):
+        for f in (lucas_poly(n), companion_poly(n)):
+            assert str(f) == bipoly_text(f), n
+    for n in range(1, 201):
+        f, phi = atom_symmetric(n), cyclotomic(n)
+        assert str(f) == bipoly_text(f) and str(phi) == unipoly_text(phi), n
