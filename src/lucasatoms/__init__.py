@@ -4,106 +4,20 @@ Construction of the atoms P_n by three cross-checked routes, polynomiality
 decisions for ratios of Lucas-polynomial products, closed-form p-adic
 valuations verified against brute-force oracles, and desk-scale refutation of
 polynomial recurrences for atom sequences.
+
+The package exports exactly the names in its modules' ``__all__`` lists.
 """
 
-from .atoms import (
-    AtomDecomposition,
-    atom,
-    atom_division,
-    atom_eval,
-    atom_reduction,
-    atom_symmetric,
-    decompose_ratio,
-    lucanomial,
-    prime_search,
-)
-from .errors import InternalConsistencyError
-from .exactpoly import BiPoly, LinearSolveResult, UniPoly, exact_div_in_s, solve_rational
-from .holonomy import (
-    DivisibilityPattern,
-    RecurrenceFit,
-    divisibility_scan,
-    fit_recurrence,
-    t_zero_profile,
-)
-from .lucasfam import (
-    LucasParams,
-    companion_int,
-    companion_poly,
-    cyclotomic,
-    discriminant,
-    lucas_int,
-    lucas_poly,
-)
-from .numtheory import (
-    DETERMINISTIC_PRIMALITY_BOUND,
-    divisors,
-    euler_phi,
-    factorize,
-    is_prime,
-    legendre,
-    mobius,
-    vp_int,
-)
-from .valuations import (
-    RankResult,
-    Regime,
-    ValuationCase,
-    classify,
-    rank_of_appearance,
-    vp_atom_closed,
-    vp_atom_mobius,
-    vp_atom_oracle,
-    vp_lucas_closed,
-    zero_atom_indices,
-)
+from . import atoms, errors, exactpoly, holonomy, lucasfam, numtheory, valuations
+from .atoms import *
+from .errors import *
+from .exactpoly import *
+from .holonomy import *
+from .lucasfam import *
+from .numtheory import *
+from .valuations import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomDecomposition",
-    "BiPoly",
-    "DETERMINISTIC_PRIMALITY_BOUND",
-    "DivisibilityPattern",
-    "InternalConsistencyError",
-    "LinearSolveResult",
-    "LucasParams",
-    "RankResult",
-    "RecurrenceFit",
-    "Regime",
-    "UniPoly",
-    "ValuationCase",
-    "atom",
-    "atom_division",
-    "atom_eval",
-    "atom_reduction",
-    "atom_symmetric",
-    "classify",
-    "companion_int",
-    "companion_poly",
-    "cyclotomic",
-    "decompose_ratio",
-    "discriminant",
-    "divisibility_scan",
-    "divisors",
-    "euler_phi",
-    "exact_div_in_s",
-    "factorize",
-    "fit_recurrence",
-    "is_prime",
-    "legendre",
-    "lucanomial",
-    "lucas_int",
-    "lucas_poly",
-    "mobius",
-    "prime_search",
-    "rank_of_appearance",
-    "solve_rational",
-    "t_zero_profile",
-    "vp_atom_closed",
-    "vp_atom_mobius",
-    "vp_atom_oracle",
-    "vp_int",
-    "vp_lucas_closed",
-    "zero_atom_indices",
-]
+_MODULES = (atoms, errors, exactpoly, holonomy, lucasfam, numtheory, valuations)
+__all__ = sorted({name for module in _MODULES for name in module.__all__})

@@ -1,2 +1,5 @@
+__all__ = ["InternalConsistencyError"]
+
+
 class InternalConsistencyError(RuntimeError):
     """Two independent computation routes disagreed: an implementation bug, not bad input."""

@@ -1,8 +1,10 @@
 import contextlib
 import json
+import shlex
 import subprocess
 import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -260,12 +262,31 @@ def test_module_entry_point():
     assert proc.stdout == "s^2 + 2*t\n"
 
 
+# -- the README's examples ------------------------------------------------------------
+
+def _readme_examples():
+    """(argv, output lines) for each `$ lucasatoms ...` call in README.md's Examples block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *output = chunk.splitlines()
+        assert command.startswith("$ lucasatoms "), command
+        examples.append((shlex.split(command)[2:], output))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv, expected", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES])
+def test_readme_example(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == expected
+
+
 # -- values beyond CPython's int/str digit limit ------------------------------------
-
-needs_digit_limit = pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
-)
-
 
 @contextlib.contextmanager
 def no_digit_limit():
@@ -277,7 +298,6 @@ def no_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
-@needs_digit_limit
 def test_eval_value_beyond_digit_limit_prints_in_full(capsys):
     # U_6000(10, 1) has about 6000 digits, past the default limit of 4300
     limit = sys.get_int_max_str_digits()
@@ -290,7 +310,6 @@ def test_eval_value_beyond_digit_limit_prints_in_full(capsys):
     assert out.splitlines()[-1] == f"at s=10, t=1: {expected}"
 
 
-@needs_digit_limit
 def test_eval_value_beyond_digit_limit_in_json(capsys):
     limit = sys.get_int_max_str_digits()
     code, out, err = run_cli(capsys, "--json", "lucas", "6000", "--eval", "10", "1")
