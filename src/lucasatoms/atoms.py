@@ -171,30 +171,22 @@ def _atom_checked(n: int) -> BiPoly:
 
 
 def atom_eval(n: int, params: LucasParams) -> int:
-    """Exact integer P_n(s, t) by the symmetric formula over integer W_k values."""
+    """Exact integer P_n(s, t) by the symmetric formula over integer W_k values:
+    Horner in -t from j = m/2 down to 0 while W_{m-2j} streams upwards."""
     if n < 1:
         raise ValueError("index must be positive")
     if n == 1:
         return 1
     m = euler_phi(n)
     c = cyclotomic(n).coeffs
-    s0, t0 = params.s, params.t
-    half = m // 2
-    neg_t = -t0
-    neg_t_pows = [1] * (half + 1)
-    for j in range(1, half + 1):
-        neg_t_pows[j] = neg_t_pows[j - 1] * neg_t
-    total = 0
-    if m % 2 == 0 and c[half]:
-        total += c[half] * neg_t_pows[half]
-    w_prev, w_k = 2, s0  # W_0, W_1
+    s, t = params.s, params.t
+    total = 0 if m % 2 else c[m // 2]  # the middle term, W_0 taken as 1
+    w_prev, w = 2, s  # W_0, W_1
     for k in range(1, m + 1):
         if k > 1:
-            w_prev, w_k = w_k, s0 * w_k + t0 * w_prev
+            w_prev, w = w, s * w + t * w_prev
         if (m - k) % 2 == 0:
-            j = (m - k) // 2
-            if c[j]:
-                total += c[j] * neg_t_pows[j] * w_k
+            total = -t * total + c[(m - k) // 2] * w
     return total
 
 

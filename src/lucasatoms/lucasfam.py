@@ -73,24 +73,26 @@ def companion_poly(n: int) -> BiPoly:
     return BiPoly.from_weight_list(n, _weight_row(n, n)) if n else BiPoly.constant(2)
 
 
-def lucas_int(n: int, params: LucasParams) -> int:
-    """Exact U_n(s, t) by the integer recurrence (no polynomial expansion)."""
+def _lucas_pair(n: int, params: LucasParams) -> tuple[int, int]:
+    """Exact (U_n, U_{n+1}) by the integer recurrence (no polynomial expansion)."""
     if n < 0:
         raise ValueError("index must be nonnegative")
+    s, t = params.s, params.t
     u0, u1 = 0, 1
     for _ in range(n):
-        u0, u1 = u1, params.s * u1 + params.t * u0
-    return u0
+        u0, u1 = u1, s * u1 + t * u0
+    return u0, u1
+
+
+def lucas_int(n: int, params: LucasParams) -> int:
+    """Exact U_n(s, t) by the integer recurrence."""
+    return _lucas_pair(n, params)[0]
 
 
 def companion_int(n: int, params: LucasParams) -> int:
-    """Exact W_n(s, t) by the integer recurrence with seeds 2, s."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    w0, w1 = 2, params.s
-    for _ in range(n):
-        w0, w1 = w1, params.s * w1 + params.t * w0
-    return w0
+    """Exact W_n(s, t) = 2 U_{n+1} - s U_n from the same recurrence."""
+    u0, u1 = _lucas_pair(n, params)
+    return 2 * u1 - params.s * u0
 
 
 def _mul_qd_minus_1(a: list[int], d: int) -> list[int]:

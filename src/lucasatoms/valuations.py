@@ -2,12 +2,13 @@
 
 Writing s = p^a s' and t = p^b t' with p not dividing s't' (a = infinity for
 s = 0), every prime p and integer pair (s, t) with t != 0 lands in exactly one
-`Regime`. With k = rho(p, U) the rank of appearance, the closed forms are two
-families and two short cases:
+`Regime`. With k = rho(p, U) the rank of appearance, the first index whose
+U_k vanishes mod p (checked to divide p - (Delta/p) for odd p ∤ t), the closed
+forms are two families and two short cases:
 
   p ∤ t (k = p when p | Delta; k = 2 for even s, 3 for odd s at p = 2):
       v_p(U_n) = 0 when k ∤ n, else v_p(U_k) + v_p(n/k), except that at
-      p = 2 with 2k | n it is v_2(U_2k) + v_2(n/2k), where U_2k = U_k W_k;
+      p = 2 with 2k | n it is v_2(U_2k) + v_2(n/2k);
       v_p(P_n) = v_p(U_k) at n = k, v_2(W_k) at n = 2k when p = 2,
       1 at n = k p^h with h >= 1, else 0.
   b < 2a (s = 0 included):
@@ -66,10 +67,11 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class RankResult:
-    """Rank of appearance rho(p, U): least k >= 1 with p | U_k.
+    """Rank of appearance rho(p, U): least k >= 1 with p | U_k, the first
+    zero of U_n mod p.
 
     rho is None when no index works (p | t, p ∤ s). divides_bound is
-    p - (Delta/p) for odd p ∤ t; the rank always divides it.
+    p - (Delta/p) for odd p ∤ t, else None; rho is checked to divide it.
     """
 
     rho: int | None
@@ -123,36 +125,26 @@ def lucas_value_is_zero(n: int, params: LucasParams) -> bool:
     return any(n % z == 0 for z in zero_atom_indices(params))
 
 
-def _lucas_mod(n: int, params: LucasParams, p: int) -> int:
-    u0, u1 = 0, 1
-    s, t = params.s % p, params.t % p
-    for _ in range(n):
-        u0, u1 = u1, (s * u1 + t * u0) % p
-    return u0
-
-
 @cache
 def rank_of_appearance(p: int, params: LucasParams) -> RankResult:
-    """Least k >= 1 with p | U_k, searched over the divisors of p - (Delta/p)."""
+    """Least k >= 1 with p | U_k: the first zero of U_n mod p.
+
+    For odd p ∤ t the walk checks the theorem that k divides p - (Delta/p).
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    s, t = params.s, params.t
-    if t % p == 0:
-        if s % p == 0:
-            return RankResult(2, None)  # U_2 = s
+    s, t = params.s % p, params.t % p
+    if t == 0 and s:
         return RankResult(None, None)  # U_n = s^(n-1) mod p, never 0
-    if p == 2:
-        return RankResult(2 if s % 2 == 0 else 3, None)
-    delta = discriminant(params)
-    if delta % p == 0:
-        return RankResult(p, p)
-    bound = p - legendre(delta, p)
-    for d in divisors(bound):
-        if _lucas_mod(d, params, p) == 0:
-            return RankResult(d, bound)
-    raise InternalConsistencyError(
-        f"no rank found for p={p} below the divisor bound {bound}"
-    )
+    k, u0, u1 = 1, 1, s  # U_1, U_2
+    while u0:
+        k, u0, u1 = k + 1, u1, (s * u1 + t * u0) % p
+    bound = None if p == 2 or t == 0 else p - legendre(discriminant(params), p)
+    if bound and bound % k:
+        raise InternalConsistencyError(
+            f"rank {k} of p={p} does not divide the bound {bound}"
+        )
+    return RankResult(k, bound)
 
 
 @cache
@@ -211,13 +203,11 @@ def vp_lucas_closed(p: int, params: LucasParams, n: int) -> int:
         raise ValueError(f"valuation of zero: U_{n}({params.s}, {params.t}) = 0")
     regime, a, b, k = case.regime, case.a, case.b, case.k
 
-    if b == 0:  # p ∤ t: the rank formula, at p = 2 restarted at U_2k = U_k W_k
+    if b == 0:  # p ∤ t: the rank formula, at p = 2 restarted at index 2k
         if n % k:
             return 0
-        base = vp_int(p, lucas_int(k, params))
-        if p == 2 and n % (2 * k) == 0:
-            return base + vp_int(2, companion_int(k, params)) + vp_int(2, n // (2 * k))
-        return base + vp_int(p, n // k)
+        start = 2 * k if p == 2 and n % (2 * k) == 0 else k
+        return vp_int(p, lucas_int(start, params)) + vp_int(p, n // start)
     if regime is Regime.DIVIDES_T_ONLY:
         return 0  # U_n = s^(n-1) mod p
     if regime is Regime.B_ABOVE_2A:
@@ -235,11 +225,10 @@ def vp_lucas_closed(p: int, params: LucasParams, n: int) -> int:
 
 def _power_exponent(x: int, p: int) -> int:
     """h >= 1 with x = p^h, else 0 (x >= 1)."""
-    h = 0
-    while x % p == 0:
-        x //= p
-        h += 1
-    return h if x == 1 else 0
+    if x % p:  # spares vp_int's primality test of p on most calls
+        return 0
+    h = vp_int(p, x)
+    return h if x == p**h else 0
 
 
 def vp_atom_closed(p: int, params: LucasParams, n: int) -> int:

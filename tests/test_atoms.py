@@ -132,9 +132,18 @@ def test_atom_eval_examples():
 
 
 def test_atom_eval_matches_polynomial():
-    for n in range(1, 41):
+    points = (
+        (1, 1), (2, -3), (-1, 4), (-5, -7),
+        (10**6, -999_983), (-10**6, 10**6), (7, -10**6),
+        (0, 2),  # s = 0
+        (3, 0),  # t = 0
+        (1000, -10**6),  # s^2 + t = 0
+        (4, -8),  # s^2 + 2t = 0
+        (-3, -3),  # s^2 + 3t = 0
+    )
+    for n in range(1, 121):  # n = 2 is the one index with odd phi(n)
         poly = atom(n)
-        for s, t in ((1, 1), (2, -3), (-1, 4), (0, 2), (3, 0)):
+        for s, t in points:
             assert atom_eval(n, LucasParams(s, t)) == poly.eval(s, t), (n, s, t)
 
 

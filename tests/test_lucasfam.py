@@ -72,6 +72,8 @@ def test_negative_index_rejected():
         lucas_poly(-1)
     with pytest.raises(ValueError):
         lucas_int(-1, LucasParams(1, 1))
+    with pytest.raises(ValueError):
+        companion_int(-1, LucasParams(1, 1))
 
 
 def test_cyclotomic_examples():
@@ -120,10 +122,11 @@ def test_doubling_identity():
 
 def test_eval_grid_matches_polynomials():
     for n in range(0, 61):
-        poly = lucas_poly(n)
+        u, w = lucas_poly(n), companion_poly(n)
         for s in range(-5, 6):
             for t in range(-5, 6):
-                assert lucas_int(n, LucasParams(s, t)) == poly.eval(s, t)
+                assert lucas_int(n, LucasParams(s, t)) == u.eval(s, t), (n, s, t)
+                assert companion_int(n, LucasParams(s, t)) == w.eval(s, t), (n, s, t)
 
 
 def test_discriminant():

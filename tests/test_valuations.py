@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lucasatoms import valuations
 from lucasatoms.atoms import atom_eval
+from lucasatoms.errors import InternalConsistencyError
 from lucasatoms.lucasfam import LucasParams, discriminant, lucas_int
-from lucasatoms.numtheory import divisors, euler_phi, legendre, mobius, vp_int
+from lucasatoms.numtheory import divisors, euler_phi, is_prime, legendre, mobius, vp_int
 from lucasatoms.valuations import (
     Regime,
     classify,
@@ -30,6 +32,27 @@ def rank_oracle(p, params, limit=500):
     return None
 
 
+def rank_divisor_walk(p, params):
+    """(rho, divides_bound) by the divisor walk: the least divisor d of
+    p - (Delta/p) with p | U_d, after the cases the theorem does not cover."""
+    s, t = params.s, params.t
+    if t % p == 0:
+        return (2, None) if s % p == 0 else (None, None)
+    if p == 2:
+        return (2 if s % 2 == 0 else 3), None
+    delta = discriminant(params)
+    if delta % p == 0:
+        return p, p
+    bound = p - legendre(delta, p)
+    for d in divisors(bound):
+        u0, u1 = 0, 1
+        for _ in range(d):
+            u0, u1 = u1, (s * u1 + t * u0) % p
+        if u0 == 0:
+            return d, bound
+    raise AssertionError(f"no rank below the bound {bound} at p={p}")
+
+
 # -- rank of appearance ----------------------------------------------------------
 
 def test_rank_examples():
@@ -50,6 +73,31 @@ def test_rank_matches_oracle_for_small_primes():
             if t % p == 0:
                 continue
             assert rank_of_appearance(p, params).rho == rank_oracle(p, params), (p, s, t)
+
+
+def test_rank_matches_divisor_walk_on_grid():
+    reached = set()
+    for p in filter(is_prime, range(2, 200)):
+        for s in range(-12, 13):
+            for t in range(-12, 13):
+                params = LucasParams(s, t)
+                res = rank_of_appearance(p, params)
+                assert (res.rho, res.divides_bound) == rank_divisor_walk(p, params), (p, s, t)
+                if p == 2:
+                    reached.add("p = 2")
+                elif t % p and discriminant(params) % p == 0:
+                    reached.add("p | Delta")
+                if t % p == 0:
+                    reached.add("p | t, p | s" if s % p == 0 else "p | t, p ∤ s")
+    assert reached == {"p = 2", "p | Delta", "p | t, p | s", "p | t, p ∤ s"}
+
+
+def test_rank_not_dividing_the_bound_is_an_internal_error(monkeypatch):
+    # (Delta/p) = 0 makes the bound p - 0 = 7, which rho(7, FIB) = 8 does not divide
+    monkeypatch.setattr(valuations, "legendre", lambda a, p: 0)
+    rank_of_appearance.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="does not divide"):
+        rank_of_appearance(7, FIB)
 
 
 def test_rank_divides_bound():
