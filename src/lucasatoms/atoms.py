@@ -43,9 +43,6 @@ __all__ = [
     "prime_search",
 ]
 
-ROUTES = ("symmetric", "division", "reduction", "checked")
-
-
 def _atom_weight_list(n: int) -> tuple[int, list[int]]:
     """(phi(n), compact coefficients of P_n) by the additive symmetric formula.
 
@@ -133,11 +130,29 @@ def atom_reduction(n: int) -> BiPoly:
         ) from exc
 
 
-def reduction_is_informative(n: int) -> bool:
-    """True where the reduction recursion does real work (not a base/fallback)."""
-    if n < 4 or is_prime(n):
-        return False
-    return not (n % 2 == 0 and (n // 2) % 2 == 1 and is_prime(n // 2))
+@cache
+def _atom_checked(n: int) -> BiPoly:
+    """The symmetric-route atom, once the division and reduction routes have
+    been found to agree with it. At a prime index the reduction route returns
+    U_n and at 2p the division-route atom, so there its check is a cached
+    comparison."""
+    poly = atom_symmetric(n)
+    if poly != atom_division(n):
+        raise InternalConsistencyError(
+            f"symmetric and division routes disagree at index {n}"
+        )
+    if atom_reduction(n) != poly:
+        raise InternalConsistencyError(f"reduction route disagrees at index {n}")
+    return poly
+
+
+_BUILDERS = {
+    "symmetric": atom_symmetric,
+    "division": atom_division,
+    "reduction": atom_reduction,
+    "checked": _atom_checked,
+}
+ROUTES = tuple(_BUILDERS)
 
 
 def atom(n: int, route: str = "checked") -> BiPoly:
@@ -147,27 +162,7 @@ def atom(n: int, route: str = "checked") -> BiPoly:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
     if n < 1:
         raise ValueError("index must be positive")
-    if route == "symmetric":
-        return atom_symmetric(n)
-    if route == "division":
-        return atom_division(n)
-    if route == "reduction":
-        return atom_reduction(n)
-    return _atom_checked(n)
-
-
-@cache
-def _atom_checked(n: int) -> BiPoly:
-    """The symmetric-route atom, once the division route (and, where it does
-    real work, the reduction route) has been found to agree with it."""
-    poly = atom_symmetric(n)
-    if poly != atom_division(n):
-        raise InternalConsistencyError(
-            f"symmetric and division routes disagree at index {n}"
-        )
-    if reduction_is_informative(n) and atom_reduction(n) != poly:
-        raise InternalConsistencyError(f"reduction route disagrees at index {n}")
-    return poly
+    return _BUILDERS[route](n)
 
 
 def atom_eval(n: int, params: LucasParams) -> int:

@@ -4,17 +4,18 @@ BiPoly is a polynomial in s and t graded by weight: the store maps each weight
 w = i + 2j of its monomials s^i t^j to a dense list whose entry j is the
 coefficient of s^(w-2j) t^j, with no trailing zeros and no empty weights, so
 equal polynomials have equal stores. U_n, W_n and every atom are one list.
-UniPoly is a dense univariate polynomial in q, stored as a coefficient list
-c_0..c_m with nonzero top coefficient. Both are immutable by convention and
-print in a fixed canonical text form that doubles as the equality witness in
-golden tests.
+UniPoly only carries the coefficient tuple c_0..c_m of a cyclotomic polynomial
+in q, nonzero top coefficient, and prints it. Both are immutable by convention
+and print in a fixed canonical text form that doubles as the equality witness
+in golden tests.
 
 _mul_lists is the one product kernel: schoolbook while the shorter list has
 fewer than _KRONECKER_CUTOFF entries, above that Kronecker substitution, with
 each list packed into one decimal integer and multiplied by libmpdec's
-number-theoretic transform. Division by a divisor of one weight, monic in s,
-is power-series division of the lists; every entry of f - q*g past the
-quotient must be 0, so a nonzero remainder always raises.
+number-theoretic transform. exact_div_in_s takes a divisor of one weight
+whose list starts with 1 (monic in s) and divides each weight list of f by it
+as power series; every entry of f - q*g past the quotient must be 0, so a
+nonzero remainder always raises.
 
 solve_rational is exact row-by-row elimination over fractions.Fraction. On
 inconsistency its certificate's last nonzero entry is the first row whose
@@ -234,19 +235,9 @@ class BiPoly:
         cs = self._c.get(i + 2 * j, ())
         return cs[j] if 0 <= j < len(cs) else 0
 
-    def s_degree(self) -> int:
-        """Highest s-degree; -1 for the zero polynomial."""
-        return max(
-            (w - 2 * next(j for j, c in enumerate(cs) if c) for w, cs in self._c.items()),
-            default=-1,
-        )
-
     def is_weighted_homogeneous(self, w: int) -> bool:
         """True iff every stored monomial s^i t^j satisfies i + 2j = w."""
         return all(weight == w for weight in self._c)
-
-    def __len__(self) -> int:
-        return sum(1 for cs in self._c.values() for c in cs if c)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -360,27 +351,14 @@ def _powers(base: BiPoly) -> Callable[[int], BiPoly]:
 def exact_div_in_s(f: BiPoly, g: BiPoly) -> BiPoly:
     """Exact quotient f / g, viewing both as polynomials in s over Z[t].
 
-    g must be monic in s: its unique highest-s-degree term is s^k with
-    coefficient 1 and t-degree 0. Raises ValueError on a nonzero remainder.
+    g must be one weight list starting with 1, that is weighted-homogeneous and
+    monic in s; anything else raises ValueError, as does a nonzero remainder.
     """
     if g.is_zero():
         raise ValueError("division by the zero polynomial")
-    if len(g._c) > 1:
-        # several weights: cancel the remainder's leading s-degree, one at a time
-        k = g.s_degree()
-        if [(i, j, c) for i, j, c in g.terms() if i == k] != [(k, 0, 1)]:
-            raise ValueError("divisor is not monic in s")
-        quotient, rem = BiPoly(), f
-        while not rem.is_zero():
-            d = rem.s_degree()
-            if d < k:
-                raise ValueError("inexact division: nonzero remainder")
-            lead = BiPoly({(d - k, j): c for i, j, c in rem.terms() if i == d})
-            quotient, rem = quotient + lead, rem - lead * g
-        return quotient
-    ((wg, gs),) = g._c.items()
-    if gs[0] != 1:
-        raise ValueError("divisor is not monic in s")
+    (wg, gs), *others = g._c.items()
+    if others or gs[0] != 1:
+        raise ValueError("divisor is not one weight list monic in s")
     out: dict[int, list[int]] = {}
     for w, cs in f._c.items():
         q = _trim(_div_lists(cs, gs, max(0, (w - wg) // 2 + 1)))
@@ -390,76 +368,32 @@ def exact_div_in_s(f: BiPoly, g: BiPoly) -> BiPoly:
 
 
 class UniPoly:
-    """Dense exact polynomial in one variable q over the integers."""
+    """Dense exact polynomial in one variable q over the integers: the carrier
+    of cyclotomic coefficients and their canonical text."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         self.coeffs: tuple[int, ...] = tuple(_trim(list(coeffs)))
 
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((1,))
-
-    @classmethod
-    def q_power_minus_one(cls, n: int) -> "UniPoly":
-        """q^n - 1."""
-        return cls((-1,) + (0,) * (n - 1) + (1,))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == self.coeffs[::-1]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, UniPoly):
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero() or other.is_zero():
-            return UniPoly.zero()
-        return UniPoly(_mul_lists(self.coeffs, other.coeffs))
-
-    def exact_div(self, g: "UniPoly") -> "UniPoly":
-        """Exact quotient by a monic divisor; ValueError on a nonzero remainder."""
-        if g.is_zero() or g.coeffs[-1] != 1:
-            raise ValueError("divisor must be monic and nonzero")
-        if self.is_zero():
-            return UniPoly.zero()
-        # reversed, the monic divisor starts with 1: power-series division
-        q = _div_lists(self.coeffs[::-1], g.coeffs[::-1], max(0, self.degree - g.degree + 1))
-        return UniPoly(reversed(q))
-
     def inflate(self, k: int) -> "UniPoly":
         """Replace q by q^k."""
         if k < 1:
             raise ValueError("inflation factor must be positive")
-        if self.is_zero():
-            return UniPoly.zero()
         out = [0] * (self.degree * k + 1)
         for i, c in enumerate(self.coeffs):
             out[i * k] = c
         return UniPoly(out)
-
-    def eval(self, x: int) -> int:
-        total = 0
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
 
     def __str__(self) -> str:
         cs = self.coeffs

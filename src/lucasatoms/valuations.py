@@ -269,11 +269,9 @@ def vp_atom_mobius(p: int, params: LucasParams, n: int) -> int:
     """v_p(P_n) as the Mobius transform sum_{d | n} mu(d) v_p(U_{n/d})."""
     if n < 2:
         raise ValueError("index must be at least 2")
-    for e in divisors(n):
-        if lucas_value_is_zero(e, params):
-            raise ValueError(
-                f"valuation of zero: U_{e}({params.s}, {params.t}) = 0"
-            )
+    zero = min((z for z in zero_atom_indices(params) if n % z == 0), default=None)
+    if zero is not None:
+        raise ValueError(f"valuation of zero: U_{zero}({params.s}, {params.t}) = 0")
     total = 0
     for d in divisors(n):
         mu = mobius(d)

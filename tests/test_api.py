@@ -1,7 +1,9 @@
 """The package exports exactly the public names of its modules, as the same objects."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import lucasatoms
 
@@ -79,3 +81,26 @@ def test_each_name_is_the_module_object():
 
 def test_earlier_exports_are_kept():
     assert set(EARLIER_EXPORTS) <= set(lucasatoms.__all__)
+
+
+def test_every_private_function_has_a_caller_in_src():
+    # a module-level _helper that only its own body (or only tests) names is dead
+    src = Path(__file__).resolve().parents[1] / "src" / "lucasatoms"
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))]
+    helpers = [
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert helpers
+    for helper in helpers:
+        own = {id(node) for node in ast.walk(helper)}
+        assert any(
+            id(node) not in own
+            and helper.name in (getattr(node, "id", None), getattr(node, "attr", None))
+            for tree in trees
+            for node in ast.walk(tree)
+        ), helper.name

@@ -9,7 +9,6 @@ from lucasatoms.atoms import (
     decompose_ratio,
     lucanomial,
     prime_search,
-    reduction_is_informative,
 )
 from lucasatoms.errors import InternalConsistencyError
 from lucasatoms.exactpoly import BiPoly, exact_div_in_s
@@ -60,11 +59,7 @@ def test_atom_reduction_examples():
     assert atom_reduction(6) == FIXTURES[6]  # 2p falls back to the division route
     assert atom_reduction(9) == atom_division(9)
     assert atom_reduction(12) == atom_division(12)
-    assert not reduction_is_informative(6)
-    assert not reduction_is_informative(7)
-    assert reduction_is_informative(9)
-    assert reduction_is_informative(12)
-    assert reduction_is_informative(15)
+    assert atom_reduction(7) is lucas_poly(7)  # a prime index is its base case
 
 
 def test_route_agreement_to_120():
@@ -72,8 +67,7 @@ def test_route_agreement_to_120():
     for n in [*range(1, 121), 343, 686, 1029, 1715, 2401]:
         sym = atom_symmetric(n)
         assert sym == atom_division(n), n
-        if reduction_is_informative(n):
-            assert atom_reduction(n) == sym, n
+        assert atom_reduction(n) == sym, n
 
 
 def test_checked_route_detects_disagreement(monkeypatch):
@@ -84,6 +78,19 @@ def test_checked_route_detects_disagreement(monkeypatch):
     try:
         with pytest.raises(InternalConsistencyError):
             atoms_module.atom(10, "checked")
+    finally:
+        atoms_module._atom_checked.cache_clear()
+
+
+@pytest.mark.parametrize("n", [7, 14])  # a prime index and n = 2p
+def test_checked_route_compares_the_reduction_route_everywhere(monkeypatch, n):
+    import lucasatoms.atoms as atoms_module
+
+    monkeypatch.setattr(atoms_module, "atom_reduction", lambda n: BiPoly.constant(99))
+    atoms_module._atom_checked.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError, match="reduction route"):
+            atoms_module.atom(n, "checked")
     finally:
         atoms_module._atom_checked.cache_clear()
 

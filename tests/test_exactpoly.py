@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from lucasatoms.exactpoly import (
     BiPoly,
     UniPoly,
+    _div_lists,
+    _mul_lists,
     exact_div_in_s,
     solve_rational,
 )
@@ -114,12 +116,10 @@ def test_ring_axioms(f, g, h):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_polys, small_polys, st.integers(1, 3))
-def test_division_roundtrip(q, tail, k):
-    # g monic in s of s-degree k, with lower-s-degree noise
-    g = BiPoly.monomial(k, 0) + BiPoly(
-        {(i, j): c for i, j, c in tail.terms() if i < k}
-    )
+@given(small_polys, st.lists(st.integers(-9, 9), max_size=3), st.integers(0, 2))
+def test_division_roundtrip(q, tail, extra):
+    # g of one weight, monic in s: s^w + sum_j tail_j s^(w-2j) t^j
+    g = BiPoly.from_weight_list(2 * len(tail) + extra, [1] + tail)
     assert exact_div_in_s(q * g, g) == q
 
 
@@ -150,27 +150,30 @@ def test_power_is_the_repeated_product(f, k):
 
 
 # -- univariate polynomials -------------------------------------------------------------
+# Coefficient lists, constant term first, through the list kernels; a divisor
+# of _div_lists starts with 1.
 
 def test_unipoly_exact_div_examples():
-    q2_minus_1 = UniPoly((-1, 0, 1))
-    q_minus_1 = UniPoly((-1, 1))
-    assert q2_minus_1.exact_div(q_minus_1) == UniPoly((1, 1))
-    den = UniPoly((-1, 1)) * UniPoly((1, 1)) * UniPoly((1, 1, 1))
-    got = UniPoly.q_power_minus_one(6).exact_div(den)
-    assert got == UniPoly((1, -1, 1))  # multiply-back oracle below
-    assert got * den == UniPoly.q_power_minus_one(6)
+    assert _div_lists([1, 0, -1], [1, 1], 2) == [1, -1]  # 1 - q^2 = (1 + q)(1 - q)
+    one_minus_q6 = [1, 0, 0, 0, 0, 0, -1]
+    den = _mul_lists(_mul_lists([1, -1], [1, 1]), [1, 1, 1])
+    got = _div_lists(one_minus_q6, den, 3)
+    assert got == [1, -1, 1]  # multiply-back oracle below
+    assert _mul_lists(got, den) == one_minus_q6
 
 
 def test_unipoly_exact_div_errors():
     with pytest.raises(ValueError):
-        UniPoly((1, 0, 1)).exact_div(UniPoly((-1, 1)))
+        _div_lists([1, 0, 1], [1, -1], 2)  # 1 + q^2 is no multiple of 1 - q
     with pytest.raises(ValueError):
-        UniPoly((1, 0, 1)).exact_div(UniPoly((1, 2)))  # not monic
+        _div_lists([1, 0, 0, 2], [1, 1], 3)  # remainder only in the last entry
+    assert _div_lists([1, 0, 0, 1], [1, 1], 3) == [1, -1, 1]
 
 
 def test_unipoly_text_and_inflate():
     assert str(UniPoly((1, -1, 1))) == "q^2 - q + 1"
-    assert str(UniPoly.zero()) == "0"
+    assert str(UniPoly()) == "0"
+    assert UniPoly().inflate(3) == UniPoly()
     assert UniPoly((1, -1, 1)).inflate(2) == UniPoly((1, 0, -1, 0, 1))
 
 
