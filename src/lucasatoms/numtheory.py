@@ -180,9 +180,13 @@ def vp_int(p: int, x: int) -> int:
     """Largest e with p^e dividing x (x != 0, p prime)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _vp(p, x)
+
+
+def _vp(p: int, x: int) -> int:
+    """Largest e with p^e dividing x (x != 0), for a p the caller proved prime."""
     if x == 0:
         raise ValueError("valuation of zero is undefined")
-    x = abs(x)
     e = 0
     while x % p == 0:
         x //= p

@@ -1,24 +1,24 @@
 """p-adic valuations of Lucas sequences and Lucas atoms in closed form.
 
-Writing s = p^a s' and t = p^b t' with p not dividing s't' (a = infinity for
-s = 0), every prime p and integer pair (s, t) with t != 0 lands in exactly one
-`Regime`. With k = rho(p, U) the rank of appearance, the first index whose
-U_k vanishes mod p (checked to divide p - (Delta/p) for odd p ∤ t), the closed
-forms are two families and two short cases:
+Writing s = p^a s' and t = p^b t' with p ∤ s't' (a = infinity for s = 0),
+`classify` puts each prime p and pair (s, t) with t != 0 in one `Regime`. The
+closed forms first divide p^c, c = min(a, floor(b/2)) (floor(b/2) for s = 0),
+out of (s, t) by weighted homogeneity: U_n(λs, λ²t) = λ^(n-1) U_n(s, t) and
+P_n(λs, λ²t) = λ^phi(n) P_n(s, t). With k = rho(p, U) the rank of appearance,
+the first zero of U_n mod p (checked to divide p - (Delta/p) for odd p ∤ t),
+the reduced pair has one of three closed forms:
 
   p ∤ t (k = p when p | Delta; k = 2 for even s, 3 for odd s at p = 2):
       v_p(U_n) = 0 when k ∤ n, else v_p(U_k) + v_p(n/k), except that at
       p = 2 with 2k | n it is v_2(U_2k) + v_2(n/2k);
       v_p(P_n) = v_p(U_k) at n = k, v_2(W_k) at n = 2k when p = 2,
       1 at n = k p^h with h >= 1, else 0.
-  b < 2a (s = 0 included):
-      v_p(P_n) = a at n = 2, b phi(n)/2 + 1 at n = 2p^h with h >= 1, else
-      b phi(n)/2; in the two b = 2a - 1 regimes (p = 2, 3) add
-      lambda = v_p(s'^2 + t') at n = 2p. v_p(U_{2m+1}) = b m and
-      v_p(U_{2m}) = b m + (a - b) + v_p(m), plus lambda there when p | m.
   p ∤ s, p | t: every valuation is 0.
-  p | s, b >= 2a: phi(n) a for P_n and (n - 1) a for U_n, plus the valuation
-      at the reduced pair (s', t') when b = 2a.
+  p | s, b = 1 (s = 0 included):
+      v_p(P_n) = a at n = 2, phi(n)/2 + 1 at n = 2p^h with h >= 1, else
+      phi(n)/2, plus lambda = v_p(s'^2 + t') at n = 2p when a = 1 and p is
+      2 or 3; v_p(U_{2m+1}) = m and v_p(U_{2m}) = m + (a - 1) + v_p(m),
+      plus lambda there when p | m.
 
 A Mobius route recomputes v_p(P_n) as sum_{d | n} mu(d) v_p(U_{n/d}), and a
 brute-force oracle takes the valuation of the exact integer atom value. An
@@ -36,7 +36,7 @@ from functools import cache
 from .atoms import atom_eval
 from .errors import InternalConsistencyError
 from .lucasfam import LucasParams, companion_int, discriminant, lucas_int
-from .numtheory import divisors, euler_phi, is_prime, legendre, mobius, vp_int
+from .numtheory import _vp, divisors, euler_phi, is_prime, legendre, mobius, vp_int
 
 __all__ = [
     "RankResult",
@@ -155,8 +155,8 @@ def classify(p: int, params: LucasParams) -> ValuationCase:
     s, t = params.s, params.t
     if t == 0:
         raise ValueError("t = 0 degenerates atoms to monomials; use the t = 0 profile")
-    b = vp_int(p, t)
-    a = None if s == 0 else vp_int(p, s)
+    b = _vp(p, t)
+    a = None if s == 0 else _vp(p, s)
     s_prime = None if s == 0 else s // p**a
     t_prime = t // p**b
     delta = discriminant(params)
@@ -183,86 +183,81 @@ def classify(p: int, params: LucasParams) -> ValuationCase:
                 Regime.B_EQ_2A_MINUS_1_P2 if p == 2 else Regime.B_EQ_2A_MINUS_1_P3
             )
             corr = s_prime * s_prime + t_prime
-            lam = vp_int(p, corr) if corr else None
+            lam = _vp(p, corr) if corr else None
         else:
             regime = Regime.B_BELOW_2A_GENERIC  # includes s = 0 (a infinite)
     return ValuationCase(p, params, regime, a, b, s_prime, t_prime, delta, k, lam)
 
 
-def _reduced(case: ValuationCase) -> LucasParams:
-    assert case.s_prime is not None
-    return LucasParams(case.s_prime, case.t_prime)
+def _stripped(case: ValuationCase) -> tuple[int, ValuationCase]:
+    """(c, the case of (s/p^c, t/p^2c)) for the largest c with p^c | s and p^2c | t,
+    after which p ∤ t, p ∤ s, or p divides t exactly once."""
+    c = case.b // 2 if case.a is None else min(case.a, case.b // 2)
+    if c == 0:
+        return 0, case
+    q = case.p**c
+    return c, classify(case.p, LucasParams(case.params.s // q, case.params.t // q**2))
 
 
 def vp_lucas_closed(p: int, params: LucasParams, n: int) -> int:
-    """v_p(U_n(s, t)) by the closed forms, one per regime family."""
+    """v_p(U_n(s, t)) by the closed forms: c (n - 1) plus the reduced pair's case."""
     if n < 1:
         raise ValueError("index must be positive")
     case = classify(p, params)
     if lucas_value_is_zero(n, params):
         raise ValueError(f"valuation of zero: U_{n}({params.s}, {params.t}) = 0")
-    regime, a, b, k = case.regime, case.a, case.b, case.k
+    c, case = _stripped(case)
+    k = case.k
 
-    if b == 0:  # p ∤ t: the rank formula, at p = 2 restarted at index 2k
+    if case.b == 0:  # p ∤ t: the rank formula, at p = 2 restarted at index 2k
         if n % k:
-            return 0
+            return c * (n - 1)
         start = 2 * k if p == 2 and n % (2 * k) == 0 else k
-        return vp_int(p, lucas_int(start, params)) + vp_int(p, n // start)
-    if regime is Regime.DIVIDES_T_ONLY:
-        return 0  # U_n = s^(n-1) mod p
-    if regime is Regime.B_ABOVE_2A:
-        return (n - 1) * a
-    if regime is Regime.B_EQUAL_2A:
-        return (n - 1) * a + vp_lucas_closed(p, _reduced(case), n)
+        return c * (n - 1) + _vp(p, lucas_int(start, case.params)) + _vp(p, n // start)
+    if case.a == 0:
+        return c * (n - 1)  # U_n = s^(n-1) mod p
 
-    # b < 2a: v_p(U_{2m+1}) = b*m and v_p(U_{2m}) = b*m + (a-b) + v_p(m) + lambda
+    # b = 1: v_p(U_{2m+1}) = m and v_p(U_{2m}) = m + (a - 1) + v_p(m) + lambda
     m, r = divmod(n, 2)
     if r:
-        return b * m
-    lam = case.lam if regime is not Regime.B_BELOW_2A_GENERIC and m % p == 0 else 0
-    return b * m + (a - b) + vp_int(p, m) + lam
+        return c * (n - 1) + m
+    lam = (case.lam or 0) if m % p == 0 else 0
+    return c * (n - 1) + m + (case.a - 1) + _vp(p, m) + lam
 
 
 def _power_exponent(x: int, p: int) -> int:
     """h >= 1 with x = p^h, else 0 (x >= 1)."""
-    if x % p:  # spares vp_int's primality test of p on most calls
-        return 0
-    h = vp_int(p, x)
+    h = _vp(p, x)
     return h if x == p**h else 0
 
 
 def vp_atom_closed(p: int, params: LucasParams, n: int) -> int:
-    """v_p(P_n(s, t)) by the closed forms, one per regime family."""
+    """v_p(P_n(s, t)) by the closed forms: c phi(n) plus the reduced pair's case."""
     if n < 2:
         raise ValueError("index must be at least 2")
     case = classify(p, params)
     if n in zero_atom_indices(params):
         raise ValueError(f"valuation of zero: P_{n}({params.s}, {params.t}) = 0")
-    regime, a, b, k = case.regime, case.a, case.b, case.k
+    c, case = _stripped(case)
+    k = case.k
+    stripped = c * euler_phi(n) if c else 0  # at c = 0 the p ∤ t path factorizes no n
 
     # p ∤ t. At p = 2, W_k = U_2k / U_k is P_4 (k = 2) or P_2 P_6 with P_2 = s odd
-    if b == 0:
+    if case.b == 0:
         if n == k:
-            return vp_int(p, lucas_int(k, params))
+            return stripped + _vp(p, lucas_int(k, case.params))
         if p == 2 and n == 2 * k:
-            return vp_int(2, companion_int(k, params))
-        return 1 if n % k == 0 and _power_exponent(n // k, p) else 0
-    if regime is Regime.DIVIDES_T_ONLY:
-        return 0
-    phi = euler_phi(n)
-    if regime is Regime.B_ABOVE_2A:
-        return phi * a
-    if regime is Regime.B_EQUAL_2A:
-        return phi * a + vp_atom_closed(p, _reduced(case), n)
+            return stripped + _vp(2, companion_int(k, case.params))
+        return stripped + (1 if n % k == 0 and _power_exponent(n // k, p) else 0)
+    if case.a == 0:
+        return stripped
 
-    # b < 2a: a at n = 2; one more at n = 2p^h, and lambda more at n = 2p
+    # b = 1: a at n = 2; one more at n = 2p^h, and lambda more at n = 2p
     if n == 2:
-        return a
+        return stripped + case.a
     h = _power_exponent(n // 2, p) if n % 2 == 0 else 0
-    if not h:
-        return b * phi // 2
-    lam = case.lam if regime is not Regime.B_BELOW_2A_GENERIC and h == 1 else 0
-    return b * phi // 2 + 1 + lam
+    lam = (case.lam or 0) if h == 1 else 0
+    return stripped + euler_phi(n) // 2 + (1 if h else 0) + lam
 
 
 def vp_atom_mobius(p: int, params: LucasParams, n: int) -> int:

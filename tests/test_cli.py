@@ -121,6 +121,19 @@ def test_json_val_payload(capsys):
     assert json.dumps(envelope) + "\n" == out
 
 
+def test_json_val_golden_after_stripping_p_squared(capsys):
+    # at p = 2 the closed form strips 2^2 from (8, 32), then adds lambda at n = 2p
+    code, out, err = run_cli(
+        capsys, "--json", "val", "--p", "2", "--s", "8", "--t", "32", "--n", "4"
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"command": "val", "inputs": {"method": "all", "n": 4, "p": 2, "s": 8, "t": 32},'
+        ' "result": {"p": 2, "s": 8, "t": 32, "n": 4, "method": "all",'
+        ' "values": {"closed": 7, "mobius": 7, "oracle": 7}}, "warnings": []}\n'
+    )
+
+
 def test_decompose_output(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--num", "6", "--den", "2,3")
     assert code == 0

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lucasatoms import valuations
+from lucasatoms import numtheory, valuations
 from lucasatoms.atoms import atom_eval
 from lucasatoms.errors import InternalConsistencyError
 from lucasatoms.lucasfam import LucasParams, discriminant, lucas_int
@@ -244,6 +244,7 @@ def test_vp_atom_triple_agreement_small_grid():
         (2, 1, -1), (2, 3, -9), (2, -2, -4),  # U_3 = 0 but P_6 != 0
         (3, 3, 6), (3, 3, 24), (2, 2, 6),  # lambda = 1, 2 at p = 3; 2 at p = 2
         (2, 0, 1), (2, 0, 3),  # even-s regime with s = 0, P_4 = 2t
+        (2, 8, 32), (3, 27, 162), (2, 16, 64),  # p^2, p^2 and p^3 stripped first
     ]
     for p, s, t in grid:
         params = LucasParams(s, t)
@@ -260,11 +261,12 @@ def test_vp_atom_triple_agreement_small_grid():
 
 @st.composite
 def regime_triples(draw):
-    """(p, s, t) with s = p^a u and t = p^b v, a and b in 0..3: every regime."""
+    """(p, s, t) with s = p^a u and t = p^b v, a and b in 0..6: every regime,
+    and every closed-form case after stripping p^c with c up to 3."""
     p = draw(st.sampled_from((2, 3, 5, 7, 11, 13)))
     u = draw(st.integers(-12, 12).filter(lambda x: x == 0 or x % p))
     v = draw(st.integers(-12, 12).filter(lambda x: x % p))
-    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    a, b = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     return p, LucasParams(p**a * u, p**b * v)
 
 
@@ -285,6 +287,26 @@ def test_closed_forms_match_oracles_in_every_regime(triple):
         else:
             with pytest.raises(ValueError, match="zero"):
                 vp_atom_closed(p, params, n)
+
+
+def test_closed_forms_do_not_retest_primality(monkeypatch):
+    # classify proves p prime; after that no closed-form valuation re-runs the test
+    high = LucasParams(1999, 1999)
+    calls = [(vp_lucas_closed, high, 4), (vp_atom_closed, FIB, 666), (vp_atom_mobius, FIB, 1332)]
+    expected = [vp_int(1999, lucas_int(4, high))]
+    expected += [vp_atom_oracle(1999, FIB, n) for n in (666, 1332)]
+    classify(1999, high)
+    classify(1999, FIB)
+    primality_tests = []
+
+    def counted(n):
+        primality_tests.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(numtheory, "is_prime", counted)
+    monkeypatch.setattr(valuations, "is_prime", counted)
+    assert [f(1999, params, n) for f, params, n in calls] == expected
+    assert primality_tests == []
 
 
 def test_vp_atom_degenerate_rejected():
