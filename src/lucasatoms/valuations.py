@@ -189,24 +189,25 @@ def classify(p: int, params: LucasParams) -> ValuationCase:
     return ValuationCase(p, params, regime, a, b, s_prime, t_prime, delta, k, lam)
 
 
-def _stripped(case: ValuationCase) -> tuple[int, ValuationCase]:
+@cache
+def _stripped(p: int, params: LucasParams) -> tuple[int, ValuationCase]:
     """(c, the case of (s/p^c, t/p^2c)) for the largest c with p^c | s and p^2c | t,
-    after which p ∤ t, p ∤ s, or p divides t exactly once."""
+    after which p ∤ t, p ∤ s, or p divides t once. Cached: a scan looks it up per n."""
+    case = classify(p, params)
     c = case.b // 2 if case.a is None else min(case.a, case.b // 2)
     if c == 0:
         return 0, case
-    q = case.p**c
-    return c, classify(case.p, LucasParams(case.params.s // q, case.params.t // q**2))
+    q = p**c
+    return c, classify(p, LucasParams(params.s // q, params.t // q**2))
 
 
 def vp_lucas_closed(p: int, params: LucasParams, n: int) -> int:
     """v_p(U_n(s, t)) by the closed forms: c (n - 1) plus the reduced pair's case."""
     if n < 1:
         raise ValueError("index must be positive")
-    case = classify(p, params)
+    c, case = _stripped(p, params)
     if lucas_value_is_zero(n, params):
         raise ValueError(f"valuation of zero: U_{n}({params.s}, {params.t}) = 0")
-    c, case = _stripped(case)
     k = case.k
 
     if case.b == 0:  # p ∤ t: the rank formula, at p = 2 restarted at index 2k
@@ -235,10 +236,9 @@ def vp_atom_closed(p: int, params: LucasParams, n: int) -> int:
     """v_p(P_n(s, t)) by the closed forms: c phi(n) plus the reduced pair's case."""
     if n < 2:
         raise ValueError("index must be at least 2")
-    case = classify(p, params)
+    c, case = _stripped(p, params)
     if n in zero_atom_indices(params):
         raise ValueError(f"valuation of zero: P_{n}({params.s}, {params.t}) = 0")
-    c, case = _stripped(case)
     k = case.k
     stripped = c * euler_phi(n) if c else 0  # at c = 0 the p ∤ t path factorizes no n
 

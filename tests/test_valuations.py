@@ -390,3 +390,24 @@ def test_convolution_identity_prime_power_detector():
                 )
                 is_hit = n % q == 0 and is_positive_power_of(n // q, p)
                 assert total == (1 if is_hit else 0), (p, q, n)
+
+
+def test_warm_closed_forms_classify_nothing_per_index(monkeypatch):
+    # the stripped case is cached per (p, params): a scan over n must not re-run classify
+    grid = [(41, LucasParams(-5, 8)), (3, LucasParams(-6, 9)), (2, LucasParams(8, 32))]
+    expected = [
+        (vp_atom_closed(p, params, n), vp_lucas_closed(p, params, n))
+        for p, params in grid
+        for n in range(2, 80)
+        if atom_eval(n, params)
+    ]
+    classified = []
+    monkeypatch.setattr(valuations, "classify", lambda *args: classified.append(args))
+    got = [
+        (vp_atom_closed(p, params, n), vp_lucas_closed(p, params, n))
+        for p, params in grid
+        for n in range(2, 80)
+        if atom_eval(n, params)
+    ]
+    assert got == expected
+    assert classified == []
