@@ -176,7 +176,15 @@ def _run_val(args) -> tuple[dict, list[str], list[str]]:
         "mobius": vp_atom_mobius,
         "oracle": vp_atom_oracle,
     }
-    values = {name: fns[name](args.p, params, args.n) for name in methods}
+    values, warnings = {}, []
+    for name in methods:
+        try:
+            values[name] = fns[name](args.p, params, args.n)
+        except ValueError as exc:
+            # A zero U_d with d | n stops only the Mobius sum: P_n can be nonzero.
+            if args.method != "all" or name != "mobius":
+                raise
+            warnings.append(f"mobius route skipped: {exc}")
     if len(set(values.values())) > 1:
         raise InternalConsistencyError(
             f"valuation methods disagree: {values}"
@@ -189,8 +197,8 @@ def _run_val(args) -> tuple[dict, list[str], list[str]]:
         "method": args.method,
         "values": values,
     }
-    line = " ".join(f"{name}={values[name]}" for name in methods)
-    return payload, [line], []
+    line = " ".join(f"{name}={value}" for name, value in values.items())
+    return payload, [line], warnings
 
 
 def _run_rank(args) -> tuple[dict, list[str], list[str]]:

@@ -17,9 +17,10 @@ whose list starts with 1 (monic in s) and divides each weight list of f by it
 as power series; every entry of f - q*g past the quotient must be 0, so a
 nonzero remainder always raises.
 
-solve_rational is exact row-by-row elimination over fractions.Fraction. On
+solve_rational is exact row-by-row elimination over integers, with the
+content of each reduced row divided out; only its outputs are Fractions. On
 inconsistency its certificate's last nonzero entry is the first row whose
-prefix is inconsistent.
+prefix is inconsistent, and that entry is 1.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -428,8 +430,14 @@ def solve_rational(
     order, and kept as a pivot at its first nonzero column if it has one.
     The solve stops at the first row that reduces to [0 ... 0 | nonzero], so
     the certificate's last nonzero entry is the first row whose prefix is
-    inconsistent. Otherwise back-substitution with the free variables at 0
-    gives the same solution as Gauss-Jordan elimination.
+    inconsistent, and that entry is 1. Otherwise back-substitution with the
+    free variables at 0 gives the same solution as Gauss-Jordan elimination.
+
+    The arithmetic is over integers: each row and its rhs are scaled by the
+    lcm of their denominators, a step is a <- pv*a - f*p_row against an
+    unnormalised pivot row, and the content of the row, its rhs and its row
+    combination is divided out after each step. Both outputs are unique, so
+    they equal those of elimination over Fraction.
     """
     m = len(rows)
     if m == 0:
@@ -438,30 +446,41 @@ def solve_rational(
     if any(len(row) != n for row in rows) or len(rhs) != m:
         raise ValueError("dimension mismatch between rows and right-hand side")
 
-    # (pivot column, row scaled to 1 there, its rhs, its row combination)
-    pivots: list[tuple[int, list[Fraction], Fraction, list[Fraction]]] = []
+    scales: list[int] = []
+    # (pivot column, row, its rhs, its row combination), all integers
+    pivots: list[tuple[int, list[int], int, list[int]]] = []
     for i, (row, rhs_i) in enumerate(zip(rows, rhs)):
-        a = [Fraction(x) for x in row]
-        b = Fraction(rhs_i)
-        comb = [Fraction(0)] * i + [Fraction(1)]
+        scale = lcm(rhs_i.denominator, *(v.denominator for v in row))
+        scales.append(scale)
+        a = [int(v * scale) for v in row]
+        b = int(rhs_i * scale)
+        comb = [0] * i + [1]
         for col, p_row, p_b, p_comb in pivots:
             f = a[col]
             if f:
-                a = [x - f * y for x, y in zip(a, p_row)]
-                b -= f * p_b
-                comb[: len(p_comb)] = [x - f * y for x, y in zip(comb, p_comb)]
+                pv = p_row[col]
+                a = [pv * x - f * y for x, y in zip(a, p_row)]
+                b = pv * b - f * p_b
+                comb = [pv * x - f * y for x, y in zip_longest(comb, p_comb, fillvalue=0)]
+                g = gcd(*a, b, *comb)
+                if g > 1:
+                    a = [x // g for x in a]
+                    b //= g
+                    comb = [x // g for x in comb]
         col = next((c for c, v in enumerate(a) if v), None)
         if col is None:
             if b:
-                certificate = comb + [Fraction(0)] * (m - 1 - i)
+                # y_j = comb_j * scale_j, normalised to y_i = 1
+                w = comb[i] * scale
+                certificate = [Fraction(c * sc, w) for c, sc in zip(comb, scales)]
+                certificate += [Fraction(0)] * (m - 1 - i)
                 return LinearSolveResult("inconsistent", None, None, tuple(certificate))
             continue
-        inv = 1 / a[col]
-        pivots.append((col, [v * inv for v in a], b * inv, [v * inv for v in comb]))
+        pivots.append((col, a, b, comb))
 
     x = [Fraction(0)] * n
     for col, p_row, p_b, _ in reversed(pivots):
-        x[col] = p_b - sum(v * w for v, w in zip(p_row, x))
+        x[col] = (p_b - sum(v * w for v, w in zip(p_row, x))) / p_row[col]
     dim = n - len(pivots)
     status = "solution" if dim == 0 else "underdetermined"
     return LinearSolveResult(status, tuple(x), dim, None)

@@ -70,7 +70,25 @@ def test_val_closed_where_only_a_lucas_divisor_vanishes(capsys):
     code, out, _ = run_cli(capsys, "--json", *argv, "--method", "closed")
     assert code == 0
     assert json.loads(out)["result"]["values"] == {"closed": 1}
+    code, out, err = run_cli(capsys, *argv, "--method", "mobius")
+    assert code == 1 and out == ""
+    assert err.startswith("error: valuation of zero")
+
+
+def test_val_all_skips_mobius_where_a_lucas_divisor_vanishes(capsys):
+    argv = ("val", "--p", "2", "--s", "1", "--t", "-1", "--n", "6")
+    skipped = "mobius route skipped: valuation of zero: U_3(1, -1) = 0"
     code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, "closed=1 oracle=1\n", f"warning: {skipped}\n")
+    code, out, err = run_cli(capsys, "--json", *argv)
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"command": "val", "inputs": {"method": "all", "n": 6, "p": 2, "s": 1, "t": -1},'
+        ' "result": {"p": 2, "s": 1, "t": -1, "n": 6, "method": "all",'
+        ' "values": {"closed": 1, "oracle": 1}}, "warnings": ["' + skipped + '"]}\n'
+    )
+    # where P_n itself is zero every route still rejects the index
+    code, out, err = run_cli(capsys, "val", "--p", "2", "--s", "1", "--t", "-1", "--n", "3")
     assert code == 1 and out == ""
     assert err.startswith("error: valuation of zero")
 
@@ -190,19 +208,125 @@ def test_scan_linear_valuation_regime_json(capsys):
     )
 
 
+# The certificates are unique (supported on the pivot rows and the witness row,
+# with the witness entry 1), so any exact solver must print these bytes.
+FIT_REFUTED_FIB_GOLDEN = (
+    '{"command": "fit", "inputs": {"degree": 2, "n_from": 10, "n_to": 60, "order": 2, "s"'
+    ': 1, "t": 1}, "result": {"s": 1, "t": 1, "order": 2, "degree": 2, "from": 10, "to": '
+    '60, "status": "refuted", "coefficients": null, "dimension": null, "witness_end": 19,'
+    ' "certificate": ["371841178990496/3962869223413", "-556998765196575/3962869223413", '
+    '"-17601135101430/3962869223413", "142950117431618/3962869223413", "-41392422990222/3'
+    '962869223413", "-22480118991357/3962869223413", "431768935291447/3962869223413", "-3'
+    '11446804521975/3962869223413", "-603854135415/3962869223413", "1"]}, "warnings": []}'
+    '\n'
+)
+
+FIT_REFUTED_DEFAULT_WINDOW_GOLDEN = (
+    '{"command": "fit", "inputs": {"degree": 3, "n_from": null, "n_to": null, "order": 4,'
+    ' "s": 3, "t": 1}, "result": {"s": 3, "t": 1, "order": 4, "degree": 3, "from": 10, "t'
+    'o": 70, "status": "refuted", "coefficients": null, "dimension": null, "witness_end":'
+    ' 30, "certificate": ["76612468571156696416281865354523905863739375567632541105146421'
+    '856173209444207824103504357557564231418626901294925620320351700491689664317965199122'
+    '64143371980095/571586288930110527755132524932036189619096313635233280978014323153852'
+    '645371498033876818891056477146763517135040445815794181127366779801481938310526764", '
+    '"-1320908177400132063757175444686236456713237678626167205461813304201175288024127075'
+    '7086914273668283724217339419509508128882768329622525474529693978957771767119647/2857'
+    '931444650552638775662624660180948095481568176166404890071615769263226857490169384094'
+    '45528238573381758567520222907897090563683389900740969155263382", "294413032214584505'
+    '353524533241684455649287758348234667313578962132135178160569421172269532189002432244'
+    '78756182209208892564165340713022782922971296536734205866647/571586288930110527755132'
+    '524932036189619096313635233280978014323153852645371498033876818891056477146763517135'
+    '040445815794181127366779801481938310526764", "-1754647401396241374263478612361520963'
+    '073394281859212952296587474996579598334230932712675820248005384776492237793093999008'
+    '888669171589758597624472876907808472469/14289657223252763193878313123300904740477407'
+    '840880832024450358078846316134287450846920472276411928669087928376011145394854528184'
+    '1694950370484577631691", "-617788844369940964217363250400076440959390894120404468084'
+    '406009948034832907760104830075461226098331870990116475898540134377364629792600872426'
+    '6711553174594454421/5715862889301105277551325249320361896190963136352332809780143231'
+    '538526453714980338768188910564771467635171350404458157941811273667798014819383105267'
+    '64", "408782299402350545414496579642676366180559396829987884419960174210482423430346'
+    '355207595009181216160354893656642222003160487971510752528002158030137577743509104/14'
+    '289657223252763193878313123300904740477407840880832024450358078846316134287450846920'
+    '4722764119286690879283760111453948545281841694950370484577631691", "1028269196313619'
+    '131940893115025318609979868236052392581815999716827754458635250310065937679792269512'
+    '097921271541398739875109814591355129630343753647178253471483/57158628893011052775513'
+    '252493203618961909631363523328097801432315385264537149803387681889105647714676351713'
+    '5040445815794181127366779801481938310526764", "-987483881873459217384550382274867870'
+    '456803358550952675923882263276532547695722246082018200826281125223804484690304144168'
+    '71642597404626278015489629646980672957/285793144465055263877566262466018094809548156'
+    '817616640489007161576926322685749016938409445528238573381758567520222907897090563683'
+    '389900740969155263382", "14563776298597923055036772893341111671792347268595195751312'
+    '017067569013778593661025922478311006046642825521687399821040872745782433934725614156'
+    '7377759949373631/1143172577860221055510265049864072379238192627270466561956028646307'
+    '705290742996067753637782112954293527034270080891631588362254733559602963876621053528'
+    '", "-4702198624593053556510001045897196894617942485911953192107574681867396945063941'
+    '8372895334140424120599871849842134424475032035768000011098502438494427128195837/1143'
+    '172577860221055510265049864072379238192627270466561956028646307705290742996067753637'
+    '782112954293527034270080891631588362254733559602963876621053528", "-4243452649795686'
+    '379361583361404942903980348801065753184234700117286656698726370147351553545082002112'
+    '125572769034250696392369412384582349031323919112307427857/57158628893011052775513252'
+    '493203618961909631363523328097801432315385264537149803387681889105647714676351713504'
+    '0445815794181127366779801481938310526764", "4062139680916731278278779721149754918177'
+    '918515637348501643359226240918192582644364111752887299066609843175401147818152205945'
+    '94966087567155580264166279900042/142896572232527631938783131233009047404774078408808'
+    '320244503580788463161342874508469204722764119286690879283760111453948545281841694950'
+    '370484577631691", "-6844085077839302747031383703343385487950974064946549798662593205'
+    '913092307694166161162146252248651228021276627624481721280300258585103039312183094491'
+    '93704037/114317257786022105551026504986407237923819262727046656195602864630770529074'
+    '2996067753637782112954293527034270080891631588362254733559602963876621053528", "-261'
+    '507670840176275474042778596982499586981400618221999691073533133505437359660846886491'
+    '090628917358506094776819068865696321584367106348225363801308665166255/11431725778602'
+    '210555102650498640723792381926272704665619560286463077052907429960677536377821129542'
+    '93527034270080891631588362254733559602963876621053528", "935694729768724966713957374'
+    '493804221598471843802264686501589244538924458025188950630720246232573993638144611045'
+    '389636082790776796052267603288632917656295/57158628893011052775513252493203618961909'
+    '631363523328097801432315385264537149803387681889105647714676351713504044581579418112'
+    '7366779801481938310526764", "-932991058072181903991470268290243224635696525880616595'
+    '960929421463266628461116974090589527973026187540786170547032125631827122151806337230'
+    '583424086806493/28579314446505526387756626246601809480954815681761664048900716157692'
+    '6322685749016938409445528238573381758567520222907897090563683389900740969155263382",'
+    ' "1481585515298916550740271766477116202329339722844622084602297884226364715884487730'
+    '305472701200360210332699828877626177093777320443447244961869958193745180/14289657223'
+    '252763193878313123300904740477407840880832024450358078846316134287450846920472276411'
+    '9286690879283760111453948545281841694950370484577631691", "5593170239148889370069185'
+    '992457817242622276650391068350836604424041489736898430194242917239561658811192387334'
+    '71548484796961792724449550651158057904906835/571586288930110527755132524932036189619'
+    '096313635233280978014323153852645371498033876818891056477146763517135040445815794181'
+    '127366779801481938310526764", "-2954037369445270332108055436382777749112276132782714'
+    '503684893180248849761288783011716683610795072298197153017024686739264489411519131181'
+    '5869099150502603435/5715862889301105277551325249320361896190963136352332809780143231'
+    '538526453714980338768188910564771467635171350404458157941811273667798014819383105267'
+    '64", "-24479083071042241367130033898929050416787227997325564569700584920644653183490'
+    '32297092420130879230817809454851025701845529390418766033703386429027006605391/571586'
+    '288930110527755132524932036189619096313635233280978014323153852645371498033876818891'
+    '056477146763517135040445815794181127366779801481938310526764", "1"]}, "warnings": []'
+    '}\n'
+)
+
+
 def test_fit_output(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "--json", "fit", "--s", "1", "--t", "1", "--order", "2", "--degree", "2",
         "--from", "10", "--to", "60",
     )
-    assert code == 0
-    envelope = json.loads(out)
-    assert envelope["result"]["status"] == "refuted"
-    assert envelope["result"]["witness_end"] is not None
+    assert (code, out, err) == (0, FIT_REFUTED_FIB_GOLDEN, "")
+    code, out, _ = run_cli(
+        capsys, "fit", "--s", "1", "--t", "1", "--order", "2", "--degree", "2",
+        "--from", "10", "--to", "60",
+    )
+    assert code == 0 and out == "refuted: first inconsistent prefix ends at n=19\n"
 
+    # t = 0 fits P_n = s^phi(n) exactly, through back-substitution
     code, out, _ = run_cli(capsys, "fit", "--s", "1", "--t", "0", "--order", "1", "--degree", "1")
     assert code == 0
-    assert out.splitlines()[0].startswith("fit: dimension=")
+    assert out == "fit: dimension=2\nG_0(n) = 1\nG_1(n) = 0\n"
+
+
+def test_fit_default_window_golden(capsys):
+    code, out, err = run_cli(
+        capsys, "--json", "fit", "--s", "3", "--t", "1", "--order", "4", "--degree", "3"
+    )
+    assert (code, out, err) == (0, FIT_REFUTED_DEFAULT_WINDOW_GOLDEN, "")
 
 
 def test_tzero_output(capsys):

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lucasatoms import LucasParams, holonomy
 from lucasatoms.exactpoly import (
     BiPoly,
+    LinearSolveResult,
     UniPoly,
     _div_lists,
     _mul_lists,
@@ -265,3 +267,108 @@ def test_solve_certificate_ends_at_first_inconsistent_prefix(system, data):
         assert prefix.status in ("solution", "underdetermined")
         for r, bi in zip(rows[:last], rhs[:last]):
             assert sum(a * v for a, v in zip(r, prefix.solution)) == bi
+
+
+# -- the Fraction oracle -----------------------------------------------------------------
+
+def _solve_fraction(rows, rhs):
+    """The reference for solve_rational: the same row-by-row elimination over
+    Fraction, with every pivot row scaled to 1 at its pivot column."""
+    m = len(rows)
+    n = len(rows[0])
+    # (pivot column, row scaled to 1 there, its rhs, its row combination)
+    pivots = []
+    for i, (row, rhs_i) in enumerate(zip(rows, rhs)):
+        a = [Fraction(x) for x in row]
+        b = Fraction(rhs_i)
+        comb = [Fraction(0)] * i + [Fraction(1)]
+        for col, p_row, p_b, p_comb in pivots:
+            f = a[col]
+            if f:
+                a = [x - f * y for x, y in zip(a, p_row)]
+                b -= f * p_b
+                comb[: len(p_comb)] = [x - f * y for x, y in zip(comb, p_comb)]
+        col = next((c for c, v in enumerate(a) if v), None)
+        if col is None:
+            if b:
+                certificate = comb + [Fraction(0)] * (m - 1 - i)
+                return LinearSolveResult("inconsistent", None, None, tuple(certificate))
+            continue
+        inv = 1 / a[col]
+        pivots.append((col, [v * inv for v in a], b * inv, [v * inv for v in comb]))
+
+    x = [Fraction(0)] * n
+    for col, p_row, p_b, _ in reversed(pivots):
+        x[col] = p_b - sum(v * w for v, w in zip(p_row, x))
+    dim = n - len(pivots)
+    status = "solution" if dim == 0 else "underdetermined"
+    return LinearSolveResult(status, tuple(x), dim, None)
+
+
+def _assert_same_result(rows, rhs):
+    got, want = solve_rational(rows, rhs), _solve_fraction(rows, rhs)
+    assert got == want
+    # == on Fraction ignores the type of an int entry; the output must be Fraction
+    for field in (got.solution, got.certificate):
+        assert field is None or all(type(v) is Fraction for v in field)
+    return got.status
+
+
+_entries = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-10**30, 10**30),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+
+
+@st.composite
+def _systems(draw):
+    """Small systems with repeated, scaled and zero rows, so all three statuses occur."""
+    n = draw(st.integers(1, 4))
+    base = draw(st.lists(st.lists(_entries, min_size=n, max_size=n), min_size=1, max_size=4))
+    rows, rhs = [], []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(("fresh", "repeat", "zero")))
+        if kind == "fresh":
+            row = draw(st.lists(_entries, min_size=n, max_size=n))
+        elif kind == "repeat":
+            k = draw(st.sampled_from((1, -2, Fraction(3, 7))))
+            row = [k * v for v in draw(st.sampled_from(base))]
+        else:
+            row = [0] * n
+        rows.append(row)
+        rhs.append(draw(st.one_of(st.just(0), _entries)))
+    return rows, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems())
+def test_solve_matches_fraction_oracle(system):
+    _assert_same_result(*system)
+
+
+def test_oracle_comparison_covers_every_status():
+    assert _assert_same_result([[2, 4], [1, 3]], [6, Fraction(1, 2)]) == "solution"
+    assert _assert_same_result([[0, 0], [Fraction(2, 3), 2]], [0, 1]) == "underdetermined"
+    assert _assert_same_result(
+        [[Fraction(1, 2), 1], [0, 0], [1, 2]], [1, 0, Fraction(5, 3)]
+    ) == "inconsistent"
+    assert _assert_same_result([[0, 0]], [7]) == "inconsistent"
+
+
+@pytest.mark.parametrize("s, t", [(1, 5), (1, 6), (2, 2), (2, 3), (2, 4), (3, 1)])
+def test_solve_matches_fraction_oracle_on_fit_systems(monkeypatch, s, t):
+    systems = []
+
+    def spy(rows, rhs):
+        systems.append((rows, rhs))
+        return solve_rational(rows, rhs)
+
+    monkeypatch.setattr(holonomy, "solve_rational", spy)
+    for order in range(1, 5):
+        for degree in range(4):
+            n_end = 10 + 3 * (order + 1) * (degree + 1)  # the CLI's default window
+            holonomy.fit_recurrence(LucasParams(s, t), order, degree, 10, n_end)
+    assert len(systems) == 16
+    for rows, rhs in systems:
+        _assert_same_result(rows, rhs)
