@@ -11,9 +11,10 @@ Three independent construction routes are provided and cross-checked:
   even, the middle term c_{m/2} (-t)^{m/2}, where W_k = alpha^k + beta^k.
 * division -- peel P_n out of U_n by exact division by the atoms of the
   proper divisors of n.
-* reduction -- strip the largest prime power p^m off n = p^m * n' and rewrite
-  P_n through P at smaller index with (s, t) replaced by (s^2+2t, -t^2) for
-  p = 2 or (s*P_2p, t^p) for odd p, dividing by P_{n'} when m = 1.
+* reduction -- lift the index by the largest prime p | n: the substitution
+  (alpha, beta) -> (alpha^p, beta^p), i.e. (s, t) -> (W_p, -(-t)^p), turns
+  P_{n/p} into P_n, after exact division by P_{n/p} when p does not divide
+  n/p.
 
 Every atom with n >= 2 is weighted-homogeneous (each monomial s^i t^j has
 i + 2j = phi(n)), monic in s, and has nonnegative coefficients.
@@ -27,7 +28,7 @@ from typing import Mapping
 
 from .errors import InternalConsistencyError
 from .exactpoly import BiPoly, exact_div_in_s
-from .lucasfam import LucasParams, _weight_row, cyclotomic, lucas_poly
+from .lucasfam import LucasParams, _weight_row, companion_poly, cyclotomic, lucas_poly
 from .numtheory import divisors, euler_phi, factorize, is_prime
 
 __all__ = [
@@ -89,24 +90,13 @@ def atom_division(n: int) -> BiPoly:
     return poly
 
 
-def _reduction_pair(p: int) -> tuple[BiPoly, BiPoly]:
-    """The substitution (S, T) that lifts atom indices by the prime p."""
-    if p == 2:
-        s2_plus_2t = BiPoly({(2, 0): 1, (0, 1): 2})
-        minus_t2 = BiPoly({(0, 2): -1})
-        return s2_plus_2t, minus_t2
-    return BiPoly.var_s() * atom_division(2 * p), BiPoly.monomial(0, p)
-
-
 @cache
 def atom_reduction(n: int) -> BiPoly:
-    """P_n by stripping the largest prime power off n.
+    """P_n by one index lift from P_m, m = n/p for the largest prime p | n.
 
-    With n = p^m * n' for the largest prime p (p not dividing n'):
-    m = 1 divides the substituted atom by P_{n'}; m >= 2 substitutes into
-    P_{n/p} directly. Bases: P_1 = 1, P_q = U_q for prime q, and index 2p
-    (odd p) falls back to the division route, which the odd-prime
-    substitution itself consumes.
+    Raising the index by p is (alpha, beta) -> (alpha^p, beta^p), that is
+    (s, t) -> (W_p, -(-t)^p): P_n = P_m(W_p, -(-t)^p), divided exactly by
+    P_m when p does not divide m. Bases: P_1 = 1 and P_p = U_p.
     """
     if n < 1:
         raise ValueError("index must be positive")
@@ -114,16 +104,14 @@ def atom_reduction(n: int) -> BiPoly:
         return BiPoly.one()
     if is_prime(n):
         return lucas_poly(n)
-    p, m_exp = factorize(n)[-1]
-    n_rest = n // p**m_exp
-    if m_exp == 1 and n_rest == 2 and p > 2:
-        return atom_division(n)
-    s_val, t_val = _reduction_pair(p)
-    if m_exp > 1:
-        return atom_reduction(n // p).subs(s_val, t_val)
-    base = atom_reduction(n_rest)
+    p = factorize(n)[-1][0]
+    m = n // p
+    base = atom_reduction(m)
+    lifted = base.subs(companion_poly(p), BiPoly.monomial(0, p, 1 if p % 2 else -1))
+    if m % p == 0:
+        return lifted
     try:
-        return exact_div_in_s(base.subs(s_val, t_val), base)
+        return exact_div_in_s(lifted, base)
     except ValueError as exc:
         raise InternalConsistencyError(
             f"inexact division in the reduction route at {n}: {exc}"
@@ -134,8 +122,7 @@ def atom_reduction(n: int) -> BiPoly:
 def _atom_checked(n: int) -> BiPoly:
     """The symmetric-route atom, once the division and reduction routes have
     been found to agree with it. At a prime index the reduction route returns
-    U_n and at 2p the division-route atom, so there its check is a cached
-    comparison."""
+    U_n, so there its check is a cached comparison."""
     poly = atom_symmetric(n)
     if poly != atom_division(n):
         raise InternalConsistencyError(

@@ -310,9 +310,11 @@ class BiPoly:
 
         A weight-w list c_0..c_n becomes S^(w-2n) * H(c) with
         H(c) = sum_j c_j A^(n-j) B^j, A = S^2 and B = T, and H splits as
-        H(low + high) = A^len(high) H(low) + B^len(low) H(high).
+        H(low + high) = A^len(high) H(low) + B^len(low) H(high). A is built
+        only if some list has two or more entries.
         """
-        power_a = _powers(s_value * s_value)
+        long_lists = any(len(cs) > 1 for cs in self._c.values())
+        power_a = _powers(s_value * s_value) if long_lists else None
         power_b = _powers(t_value)
 
         def halves(cs: list[int]) -> BiPoly:

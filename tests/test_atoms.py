@@ -12,7 +12,7 @@ from lucasatoms.atoms import (
 )
 from lucasatoms.errors import InternalConsistencyError
 from lucasatoms.exactpoly import BiPoly, exact_div_in_s
-from lucasatoms.lucasfam import LucasParams, lucas_poly
+from lucasatoms.lucasfam import LucasParams, companion_poly, lucas_poly
 from lucasatoms.numtheory import divisors, euler_phi, is_prime
 
 
@@ -56,7 +56,7 @@ def test_atom_division_examples():
 
 
 def test_atom_reduction_examples():
-    assert atom_reduction(6) == FIXTURES[6]  # 2p falls back to the division route
+    assert atom_reduction(6) == FIXTURES[6]  # 2p lifts P_2 = s to W_3 / s
     assert atom_reduction(9) == atom_division(9)
     assert atom_reduction(12) == atom_division(12)
     assert atom_reduction(7) is lucas_poly(7)  # a prime index is its base case
@@ -68,6 +68,29 @@ def test_route_agreement_to_120():
         sym = atom_symmetric(n)
         assert sym == atom_division(n), n
         assert atom_reduction(n) == sym, n
+
+
+def test_reduction_route_never_calls_the_division_route(monkeypatch):
+    import lucasatoms.atoms as atoms_module
+
+    def no_division(n):
+        raise AssertionError(f"division route called at {n}")
+
+    monkeypatch.setattr(atoms_module, "atom_division", no_division)
+    atoms_module.atom_reduction.cache_clear()
+    try:
+        for n in [*range(1, 201), 343, 686, 1029, 1715, 2401]:
+            assert atoms_module.atom_reduction(n) == atom_symmetric(n), n
+    finally:
+        atoms_module.atom_reduction.cache_clear()
+
+
+def test_lift_pair_is_the_companion_polynomial():
+    # W_p = U_2p / U_p = P_2 * P_2p for odd p; W_2 = s^2 + 2t
+    assert companion_poly(2) == bp({(2, 0): 1, (0, 1): 2})
+    for p in range(3, 200, 2):
+        if is_prime(p):
+            assert companion_poly(p) == BiPoly.var_s() * atom_division(2 * p), p
 
 
 def test_checked_route_detects_disagreement(monkeypatch):
