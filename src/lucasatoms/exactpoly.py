@@ -390,15 +390,6 @@ class UniPoly:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def inflate(self, k: int) -> "UniPoly":
-        """Replace q by q^k."""
-        if k < 1:
-            raise ValueError("inflation factor must be positive")
-        out = [0] * (self.degree * k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return UniPoly(out)
-
     def __str__(self) -> str:
         cs = self.coeffs
         return _render((cs[e], (("q", e),)) for e in range(self.degree, -1, -1) if cs[e])

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import zip_longest
 
 from .errors import InternalConsistencyError
 from .exactpoly import BiPoly, UniPoly
-from .numtheory import divisors, mobius, radical
+from .numtheory import divisors, euler_phi, mobius, radical
 
 __all__ = [
     "LucasParams",
@@ -74,67 +73,59 @@ def companion_poly(n: int) -> BiPoly:
 
 
 def _lucas_pair(n: int, params: LucasParams) -> tuple[int, int]:
-    """Exact (U_n, U_{n+1}) by the integer recurrence (no polynomial expansion)."""
+    """Exact (U_n, U_{n+1}) in O(log n) steps, doubling over the bits of n by
+    U_2k = U_k (2 U_{k+1} - s U_k) and U_{2k+1} = U_{k+1}^2 + t U_k^2
+    (Joye-Quisquater, Electron. Lett. 1996); a set bit then steps once."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     s, t = params.s, params.t
     u0, u1 = 0, 1
-    for _ in range(n):
-        u0, u1 = u1, s * u1 + t * u0
+    for i in range(n.bit_length() - 1, -1, -1):
+        u0, u1 = u0 * (2 * u1 - s * u0), u1 * u1 + t * u0 * u0
+        if n >> i & 1:
+            u0, u1 = u1, s * u1 + t * u0
     return u0, u1
 
 
 def lucas_int(n: int, params: LucasParams) -> int:
-    """Exact U_n(s, t) by the integer recurrence."""
+    """Exact U_n(s, t) by integer doubling (no polynomial expansion)."""
     return _lucas_pair(n, params)[0]
 
 
 def companion_int(n: int, params: LucasParams) -> int:
-    """Exact W_n(s, t) = 2 U_{n+1} - s U_n from the same recurrence."""
+    """Exact W_n(s, t) = 2 U_{n+1} - s U_n, from the same doubling as U_n."""
     u0, u1 = _lucas_pair(n, params)
     return 2 * u1 - params.s * u0
-
-
-def _mul_qd_minus_1(a: list[int], d: int) -> list[int]:
-    """a(q) * (q^d - 1)."""
-    out = [0] * d + a
-    for i, v in enumerate(a):
-        out[i] -= v
-    return out
-
-
-def _div_qd_minus_1(a: list[int], d: int) -> list[int]:
-    """Exact quotient a(q) / (q^d - 1) by synthetic division from the top.
-
-    Raises InternalConsistencyError on a nonzero remainder: every caller
-    divides a product that q^d - 1 must divide.
-    """
-    q = a[d:]
-    for k in range(len(q) - d - 1, -1, -1):
-        q[k] += q[k + d]
-    if any(x + y for x, y in zip_longest(a[:d], q[:d], fillvalue=0)):
-        raise InternalConsistencyError(f"inexact division by q^{d} - 1")
-    return q
 
 
 @cache
 def cyclotomic(n: int) -> UniPoly:
     """The n-th cyclotomic polynomial in q, monic over the integers.
 
-    Squarefree indices are the Mobius product prod_{d | n} (q^d - 1)^(mu(n/d)),
-    built by linear-time multiply and divide steps by q^d - 1; other indices
-    are the radical's polynomial with q replaced by q^(n/rad).
+    For n > 1, Phi_n(q) = prod_{d | n} (1 - q^d)^mu(n/d) (Phi_1 = q - 1 has the
+    opposite sign). For r = rad(n) the product is a power series cut at degree
+    phi(r), exact since Phi_r has that degree: 1 - q^d is a slice update,
+    1/(1 - q^d) a running sum with stride d, and d > phi(r) is skipped. The
+    series is spread to q^(n/r); a top entry other than 1 raises
+    InternalConsistencyError, since Phi_r is monic.
     """
     if n < 1:
         raise ValueError("index must be positive")
+    if n == 1:
+        return UniPoly((-1, 1))
     rad = radical(n)
-    if rad != n:
-        return cyclotomic(rad).inflate(n // rad)
-    poly = [1]
-    for d in divisors(n):
-        if mobius(n // d) == 1:
-            poly = _mul_qd_minus_1(poly, d)
-    for d in divisors(n):
-        if mobius(n // d) == -1:
-            poly = _div_qd_minus_1(poly, d)
-    return UniPoly(poly)
+    top = euler_phi(rad)
+    series = [1] + [0] * top
+    for d in divisors(rad):
+        if d > top:
+            break
+        if mobius(rad // d) == 1:
+            series[d:] = [x - y for x, y in zip(series[d:], series)]
+        else:
+            for i in range(d, top + 1):
+                series[i] += series[i - d]
+    if series[-1] != 1:
+        raise InternalConsistencyError(f"Phi_{rad} is not monic of degree {top}")
+    coeffs = [0] * (top * (n // rad) + 1)
+    coeffs[:: n // rad] = series
+    return UniPoly(coeffs)

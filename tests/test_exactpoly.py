@@ -172,11 +172,9 @@ def test_unipoly_exact_div_errors():
     assert _div_lists([1, 0, 0, 1], [1, 1], 3) == [1, -1, 1]
 
 
-def test_unipoly_text_and_inflate():
+def test_unipoly_text():
     assert str(UniPoly((1, -1, 1))) == "q^2 - q + 1"
     assert str(UniPoly()) == "0"
-    assert UniPoly().inflate(3) == UniPoly()
-    assert UniPoly((1, -1, 1)).inflate(2) == UniPoly((1, 0, -1, 0, 1))
 
 
 # -- exact linear solving ----------------------------------------------------------------

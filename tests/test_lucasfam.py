@@ -3,11 +3,11 @@ import threading
 
 import pytest
 
+from lucasatoms import lucasfam
 from lucasatoms.errors import InternalConsistencyError
 from lucasatoms.exactpoly import BiPoly, UniPoly, _mul_lists
 from lucasatoms.lucasfam import (
     LucasParams,
-    _div_qd_minus_1,
     companion_int,
     companion_poly,
     cyclotomic,
@@ -15,7 +15,7 @@ from lucasatoms.lucasfam import (
     lucas_int,
     lucas_poly,
 )
-from lucasatoms.numtheory import divisors
+from lucasatoms.numtheory import divisors, mobius, radical
 
 
 def bp(terms):
@@ -57,6 +57,24 @@ def test_companion_poly_matches_recurrence_oracle():
         )
 
 
+def int_recurrence_oracle(n, params):
+    """(U_n, W_n) by stepping X_k = s*X_{k-1} + t*X_{k-2} n times."""
+    s, t = params.s, params.t
+    u0, u1, w0, w1 = 0, 1, 2, s
+    for _ in range(n):
+        u0, u1, w0, w1 = u1, s * u1 + t * u0, w1, s * w1 + t * w0
+    return u0, w0
+
+
+def test_integer_doubling_matches_recurrence_oracle():
+    for s, t in [(1, 1), (2, -3), (-5, 7), (0, 3), (4, 0)]:
+        params = LucasParams(s, t)
+        for n in range(0, 301):
+            u, w = int_recurrence_oracle(n, params)
+            assert lucas_int(n, params) == u, (n, s, t)
+            assert companion_int(n, params) == w, (n, s, t)
+
+
 def test_integer_specializations():
     fib = LucasParams(1, 1)
     assert lucas_int(0, fib) == 0
@@ -85,20 +103,65 @@ def test_cyclotomic_examples():
 
 
 def test_cyclotomic_product_identity():
-    # 210, 330 and 1155 have four distinct prime factors
-    for n in list(range(1, 201)) + [210, 330, 1155]:
+    # 210, 330, 1155 and 2310 have four or five distinct prime factors; 3773 and
+    # 4096 are not squarefree
+    for n in list(range(1, 201)) + [210, 330, 1155, 2310, 3773, 4096]:
         prod = [1]
         for d in divisors(n):
             prod = _mul_lists(prod, cyclotomic(d).coeffs)
         assert prod == [-1] + [0] * (n - 1) + [1]  # q^n - 1
 
 
-def test_qd_minus_1_division_rejects_a_remainder():
-    q6_minus_1 = [-1, 0, 0, 0, 0, 0, 1]
-    assert _div_qd_minus_1(q6_minus_1, 2) == [1, 0, 1, 0, 1]
-    q6_minus_q = [0, -1, 0, 0, 0, 0, 1]  # q^6 - q = (q^2 - 1)(q^4 + q^2 + 1) + q - 1
-    with pytest.raises(InternalConsistencyError):
-        _div_qd_minus_1(q6_minus_q, 2)
+def _mul_qd_minus_1(a, d):
+    """a(q) * (q^d - 1)."""
+    out = [0] * d + a
+    for i, v in enumerate(a):
+        out[i] -= v
+    return out
+
+
+def _div_qd_minus_1(a, d):
+    """Exact quotient a(q) / (q^d - 1) by synthetic division from the top."""
+    q = a[d:]
+    for k in range(len(q) - d - 1, -1, -1):
+        q[k] += q[k + d]
+    assert _mul_qd_minus_1(q, d) == a
+    return q
+
+
+def cyclotomic_oracle(n):
+    """Coefficients of Phi_n: the squarefree radical's Mobius product of
+    q^d - 1, built by multiplying and then dividing, with q -> q^(n/rad)."""
+    rad = radical(n)
+    poly = [1]
+    for d in divisors(rad):
+        if mobius(rad // d) == 1:
+            poly = _mul_qd_minus_1(poly, d)
+    for d in divisors(rad):
+        if mobius(rad // d) == -1:
+            poly = _div_qd_minus_1(poly, d)
+    out = [0] * ((len(poly) - 1) * (n // rad) + 1)
+    out[:: n // rad] = poly
+    return tuple(out)
+
+
+def test_cyclotomic_matches_qd_minus_1_oracle():
+    for n in list(range(1, 1501)) + [3773, 4096, 2187, 30030]:
+        assert cyclotomic(n).coeffs == cyclotomic_oracle(n), n
+
+
+def test_cyclotomic_rejects_a_non_monic_product(monkeypatch):
+    # One entry too many: the series' top entry is then the coefficient of
+    # q^(phi + 1), which is 0 for a polynomial of degree phi.
+    phi = lucasfam.euler_phi
+    monkeypatch.setattr(lucasfam, "euler_phi", lambda n: phi(n) + 1)
+    cyclotomic.cache_clear()
+    try:
+        for n in (15, 36):
+            with pytest.raises(InternalConsistencyError):
+                cyclotomic(n)
+    finally:
+        cyclotomic.cache_clear()
 
 
 def test_cyclotomic_palindromic_and_monic():
