@@ -22,12 +22,11 @@ i + 2j = phi(n)), monic in s, and has nonnegative coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Mapping
 
 from .errors import InternalConsistencyError
-from .exactpoly import BiPoly, exact_div_in_s
+from .exactpoly import BiPoly, _Record, exact_div_in_s
 from .lucasfam import LucasParams, _weight_row, companion_poly, cyclotomic, lucas_poly
 from .numtheory import divisors, euler_phi, factorize, is_prime
 
@@ -172,8 +171,7 @@ def atom_eval(n: int, params: LucasParams) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class AtomDecomposition:
+class AtomDecomposition(_Record):
     """Atom exponents of a ratio of Lucas-polynomial products.
 
     exponents maps each atom index d >= 2 dividing any listed index to

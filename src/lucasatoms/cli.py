@@ -8,7 +8,6 @@ error. JSON mode (--json) emits exactly one envelope object on stdout:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .atoms import atom, decompose_ratio, lucanomial, prime_search
@@ -41,69 +40,69 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
 
 
-def _required_ints(parser: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        parser.add_argument(f"--{name}", type=int, required=True)
+def _required_ints(*names: str) -> list[tuple[tuple[str, ...], dict]]:
+    return [((f"--{name}",), {"type": int, "required": True}) for name in names]
 
 
-def build_parser() -> argparse.ArgumentParser:
+_N = (("n",), {"type": int})
+_EVAL = (("--eval",), {"dest": "eval_at", "nargs": 2, "type": int, "metavar": ("S", "T")})
+
+# Each subcommand's help text and its arguments, as add_argument's (args, kwargs).
+_COMMANDS = {
+    "atom": (
+        "Lucas atom P_N",
+        [_N, (("--route",), {"choices": sorted(_ROUTE_ALIASES), "default": "checked"}), _EVAL],
+    ),
+    "lucas": ("Lucas polynomial U_N", [_N, _EVAL]),
+    "companion": ("companion polynomial W_N", [_N, _EVAL]),
+    "cyclotomic": ("cyclotomic polynomial of index N", [_N]),
+    "decompose": (
+        "polynomiality of a Lucas-product ratio",
+        [
+            (("--num",), {"type": _int_list, "required": True, "metavar": "A,B,..."}),
+            (("--den",), {"type": _int_list, "default": [], "metavar": "C,D,..."}),
+        ],
+    ),
+    "lucanomial": ("Lucas binomial analogue (N over K)", [_N, (("k",), {"type": int}), _EVAL]),
+    "val": (
+        "p-adic valuation of an atom value",
+        [
+            *_required_ints("p", "s", "t", "n"),
+            (("--method",), {"choices": ("closed", "mobius", "oracle", "all"), "default": "all"}),
+        ],
+    ),
+    "rank": ("rank of appearance", _required_ints("p", "s", "t")),
+    "classify": ("valuation regime", _required_ints("p", "s", "t")),
+    "scan": ("divisibility pattern of p | P_n", _required_ints("p", "s", "t", "limit")),
+    "fit": (
+        "fit or refute a polynomial recurrence",
+        [
+            *_required_ints("s", "t", "order", "degree"),
+            (("--from",), {"dest": "n_from", "type": int, "default": None}),
+            (("--to",), {"dest": "n_to", "type": int, "default": None}),
+        ],
+    ),
+    "tzero": ("the t = 0 profile s^phi(n)", _required_ints("s", "limit")),
+    "primesearch": ("prime atom values on a grid", [_N, *_required_ints("bound")]),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for argv. Every subcommand is registered with its help text,
+    but only the one that argv's first non-option token names gets its
+    arguments; all of them do when argv is None or names none."""
     parser = argparse.ArgumentParser(
         prog="lucasatoms",
         description="Exact arithmetic for Lucas polynomials and Lucas atoms.",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON envelope")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_atom = sub.add_parser("atom", help="Lucas atom P_N")
-    p_atom.add_argument("n", type=int)
-    p_atom.add_argument("--route", choices=sorted(_ROUTE_ALIASES), default="checked")
-    p_atom.add_argument("--eval", dest="eval_at", nargs=2, type=int, metavar=("S", "T"))
-
-    for name, help_text in (("lucas", "Lucas polynomial U_N"), ("companion", "companion polynomial W_N")):
+    named = next((token for token in argv or () if not token.startswith("-")), None)
+    for name, (help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("n", type=int)
-        p.add_argument("--eval", dest="eval_at", nargs=2, type=int, metavar=("S", "T"))
-
-    p_cyc = sub.add_parser("cyclotomic", help="cyclotomic polynomial of index N")
-    p_cyc.add_argument("n", type=int)
-
-    p_dec = sub.add_parser("decompose", help="polynomiality of a Lucas-product ratio")
-    p_dec.add_argument("--num", type=_int_list, required=True, metavar="A,B,...")
-    p_dec.add_argument("--den", type=_int_list, default=[], metavar="C,D,...")
-
-    p_lucan = sub.add_parser("lucanomial", help="Lucas binomial analogue (N over K)")
-    p_lucan.add_argument("n", type=int)
-    p_lucan.add_argument("k", type=int)
-    p_lucan.add_argument("--eval", dest="eval_at", nargs=2, type=int, metavar=("S", "T"))
-
-    p_val = sub.add_parser("val", help="p-adic valuation of an atom value")
-    _required_ints(p_val, "p", "s", "t", "n")
-    p_val.add_argument(
-        "--method", choices=("closed", "mobius", "oracle", "all"), default="all"
-    )
-
-    for name in ("rank", "classify"):
-        p = sub.add_parser(
-            name,
-            help="rank of appearance" if name == "rank" else "valuation regime",
-        )
-        _required_ints(p, "p", "s", "t")
-
-    p_scan = sub.add_parser("scan", help="divisibility pattern of p | P_n")
-    _required_ints(p_scan, "p", "s", "t", "limit")
-
-    p_fit = sub.add_parser("fit", help="fit or refute a polynomial recurrence")
-    _required_ints(p_fit, "s", "t", "order", "degree")
-    p_fit.add_argument("--from", dest="n_from", type=int, default=None)
-    p_fit.add_argument("--to", dest="n_to", type=int, default=None)
-
-    p_tzero = sub.add_parser("tzero", help="the t = 0 profile s^phi(n)")
-    _required_ints(p_tzero, "s", "limit")
-
-    p_ps = sub.add_parser("primesearch", help="prime atom values on a grid")
-    p_ps.add_argument("n", type=int)
-    _required_ints(p_ps, "bound")
-
+        if named not in _COMMANDS or named == name:
+            for args, kwargs in arguments:
+                p.add_argument(*args, **kwargs)
     return parser
 
 
@@ -355,7 +354,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -369,6 +370,8 @@ def _run(argv: list[str] | None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
+        import json
+
         envelope = {
             "command": args.command,
             "inputs": _inputs_echo(args),

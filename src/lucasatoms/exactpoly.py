@@ -21,17 +21,21 @@ solve_rational is exact row-by-row elimination over integers, with the
 content of each reduced row divided out; only its outputs are Fractions. On
 inconsistency its certificate's last nonzero entry is the first row whose
 prefix is inconsistent, and that entry is 1.
+
+_Record is the base of the library's immutable result records. decimal and
+fractions load on first use, so a call that needs neither never imports them.
 """
 
 from __future__ import annotations
 
-import decimal
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BiPoly",
@@ -44,13 +48,57 @@ __all__ = [
 # Shorter-operand length from which Kronecker substitution beats schoolbook.
 _KRONECKER_CUTOFF = 40
 
-# Precision and exponent range never bind, so Inexact can only mean a bug.
-_DECIMAL = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    Emin=decimal.MIN_EMIN,
-    traps=[decimal.Inexact],
-)
+
+class _Record:
+    """Base of an immutable value record whose fields are its class's
+    annotations, in order: built by position or keyword, equal and hashed by
+    value within one class, printed as Name(field=value, ...). The instance
+    __dict__ holds exactly the fields, so vars() reads them."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = (*cls._fields, *cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self._fields
+        if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= set(names[len(args) :]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        values = dict(zip(names, args), **kwargs)
+        object.__setattr__(self, "__dict__", {name: values[name] for name in names})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+@cache
+def _decimal():
+    """The decimal module and a context whose precision and exponent range
+    never bind, so Inexact can only mean a bug; loaded on first use."""
+    import decimal
+
+    context = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact],
+    )
+    return decimal, context
 
 
 def _trim(cs: list[int]) -> list[int]:
@@ -71,6 +119,7 @@ def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     # Slots of width decimal digits hold any product coefficient r with
     # 2|r| < 10^width, so a signed slot reads back as a balanced digit.
+    decimal, context = _decimal()
     bound = 2 * min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
     width = bound.bit_length() * 30103 // 100000 + 1
     limit = sys.get_int_max_str_digits()
@@ -84,11 +133,11 @@ def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
         packed = decimal.Decimal("".join(to_text(max(c, 0)).zfill(width) for c in reversed(x)))
         if min(x) < 0:
             negative = "".join(to_text(max(-c, 0)).zfill(width) for c in reversed(x))
-            packed = _DECIMAL.subtract(packed, decimal.Decimal(negative))
+            packed = context.subtract(packed, decimal.Decimal(negative))
         return packed
 
     packed_a = pack(a)
-    product = _DECIMAL.multiply(packed_a, packed_a if b is a else pack(b))
+    product = context.multiply(packed_a, packed_a if b is a else pack(b))
     n = len(a) + len(b) - 1
     digits = str(product.copy_abs()).zfill(n * width)
     sign = -1 if product.is_signed() else 1
@@ -398,8 +447,7 @@ class UniPoly:
         return f"UniPoly('{self}')"
 
 
-@dataclass(frozen=True)
-class LinearSolveResult:
+class LinearSolveResult(_Record):
     """Outcome of exact elimination on A x = b.
 
     status is "solution" (unique, dimension 0), "underdetermined" (a witness
@@ -432,6 +480,8 @@ def solve_rational(
     combination is divided out after each step. Both outputs are unique, so
     they equal those of elimination over Fraction.
     """
+    from fractions import Fraction
+
     m = len(rows)
     if m == 0:
         raise ValueError("the system needs at least one row")

@@ -15,16 +15,18 @@ minimal inconsistent window prefix with a certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
+from typing import TYPE_CHECKING
 
 from .atoms import atom, atom_eval
 from .errors import InternalConsistencyError
-from .exactpoly import BiPoly, solve_rational
+from .exactpoly import BiPoly, _Record, solve_rational
 from .lucasfam import LucasParams
 from .numtheory import euler_phi, is_prime
 from .valuations import vp_atom_closed, zero_atom_indices
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DivisibilityPattern",
@@ -37,8 +39,7 @@ __all__ = [
 
 # -- divisibility scan --------------------------------------------------------
 
-@dataclass(frozen=True)
-class DivisibilityPattern:
+class DivisibilityPattern(_Record):
     """Hit set {2 <= n <= horizon : p | P_n(s, t)} and its diagnostics.
 
     matches records agreement with the closed valuation forms;
@@ -135,8 +136,7 @@ def divisibility_scan(p: int, params: LucasParams, horizon: int) -> Divisibility
 
 # -- recurrence fitting -------------------------------------------------------
 
-@dataclass(frozen=True)
-class RecurrenceFit:
+class RecurrenceFit(_Record):
     """Outcome of fitting P_n = G_0(n) + sum_{j=1..order} G_j(n) P_{n-j}.
 
     On "fit": coefficients[j] lists G_j's coefficients (constant term first),

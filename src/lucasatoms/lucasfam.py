@@ -10,8 +10,8 @@ C(n-1-j, j) for U_n and n/(n-j) * C(n-j, j) for W_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 from .exactpoly import BiPoly, UniPoly
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LucasParams:
+class LucasParams(NamedTuple):
     """Integer parameters (s, t) of the recurrence X_n = s*X_{n-1} + t*X_{n-2}."""
 
     s: int

@@ -30,11 +30,11 @@ zero" error; the Mobius route rejects n when U_d = 0 for some d | n.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cache
 
 from .atoms import atom_eval
 from .errors import InternalConsistencyError
+from .exactpoly import _Record
 from .lucasfam import LucasParams, companion_int, discriminant, lucas_int
 from .numtheory import _vp, divisors, euler_phi, is_prime, legendre, mobius, vp_int
 
@@ -65,8 +65,7 @@ class Regime(enum.Enum):
     B_EQ_2A_MINUS_1_P3 = "b-eq-2a-minus-1-p3"
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(_Record):
     """Rank of appearance rho(p, U): least k >= 1 with p | U_k, the first
     zero of U_n mod p.
 
@@ -78,8 +77,7 @@ class RankResult:
     divides_bound: int | None
 
 
-@dataclass(frozen=True)
-class ValuationCase:
+class ValuationCase(_Record):
     """Classification of (p, s, t) into a valuation regime.
 
     a and b are the p-adic valuations of s and t (a is None for s = 0,

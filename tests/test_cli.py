@@ -116,6 +116,94 @@ def test_usage_error_exits_2(capsys):
     assert run_cli(capsys, "atom", "6", "--route", "bogus")[0] == 2
 
 
+# -- help and usage text, at 80 columns ----------------------------------------------
+
+COMMAND_CHOICES = (
+    "{atom,lucas,companion,cyclotomic,decompose,lucanomial,val,rank,classify,scan,fit,tzero,primesearch}"
+)
+TOP_USAGE = f"""usage: lucasatoms [-h] [--json]
+                  {COMMAND_CHOICES}
+                  ...
+"""
+ATOM_USAGE = "usage: lucasatoms atom [-h] [--route {checked,div,red,sym}] [--eval S T] n\n"
+
+HELP_GOLDENS = {
+    "--help": (0, TOP_USAGE + f"""
+Exact arithmetic for Lucas polynomials and Lucas atoms.
+
+positional arguments:
+  {COMMAND_CHOICES}
+    atom                Lucas atom P_N
+    lucas               Lucas polynomial U_N
+    companion           companion polynomial W_N
+    cyclotomic          cyclotomic polynomial of index N
+    decompose           polynomiality of a Lucas-product ratio
+    lucanomial          Lucas binomial analogue (N over K)
+    val                 p-adic valuation of an atom value
+    rank                rank of appearance
+    classify            valuation regime
+    scan                divisibility pattern of p | P_n
+    fit                 fit or refute a polynomial recurrence
+    tzero               the t = 0 profile s^phi(n)
+    primesearch         prime atom values on a grid
+
+options:
+  -h, --help            show this help message and exit
+  --json                emit a JSON envelope
+""", ""),
+    "atom --help": (0, ATOM_USAGE + """
+positional arguments:
+  n
+
+options:
+  -h, --help            show this help message and exit
+  --route {checked,div,red,sym}
+  --eval S T
+""", ""),
+    "fit --help": (0, """usage: lucasatoms fit [-h] --s S --t T --order ORDER --degree DEGREE
+                      [--from N_FROM] [--to N_TO]
+
+options:
+  -h, --help       show this help message and exit
+  --s S
+  --t T
+  --order ORDER
+  --degree DEGREE
+  --from N_FROM
+  --to N_TO
+""", ""),
+    "frobnicate": (2, "", TOP_USAGE + (
+        "lucasatoms: error: argument command: invalid choice: 'frobnicate' (choose from "
+        + ", ".join(f"'{name}'" for name in COMMAND_CHOICES.strip("{}").split(","))
+        + ")\n"
+    )),
+    "rank --p 29": (2, "", """usage: lucasatoms rank [-h] --p P --s S --t T
+lucasatoms rank: error: the following arguments are required: --s, --t
+"""),
+    "atom 6 --route bogus": (2, "", ATOM_USAGE + (
+        "lucasatoms atom: error: argument --route: invalid choice: 'bogus'"
+        " (choose from 'checked', 'div', 'red', 'sym')\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP_GOLDENS))
+def test_help_and_usage_golden(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv.split()) == HELP_GOLDENS[argv]
+
+
+@pytest.mark.parametrize("name", list(cli._HANDLERS))
+def test_subcommand_help_matches_the_full_parser(capsys, monkeypatch, name):
+    # a call builds only its subcommand's arguments; its text must not show it
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, "--json", name, "--help")
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["--json", name, "--help"])
+    assert (code, out, err) == (0, *capsys.readouterr())
+    assert out.startswith(f"usage: lucasatoms {name} [-h]")
+
+
 def test_json_envelope_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "--json", "atom", "6", "--eval", "1", "1")
     assert code == 0
