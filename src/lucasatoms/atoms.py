@@ -9,6 +9,14 @@ Three independent construction routes are provided and cross-checked:
 * symmetric -- purely additive: with m = phi(n) and palindromic cyclotomic
   coefficients c_0..c_m, P_n = sum_{j < m/2} c_j (-t)^j W_{m-2j} plus, for m
   even, the middle term c_{m/2} (-t)^{m/2}, where W_k = alpha^k + beta^k.
+  For squarefree n the sum is evaluated once at (s, t) = (1, 2^K), where
+  each W step and each Horner step in t is one shift and add of a big
+  integer; since every monomial has weight m, the value is sum_j a_j 2^(Kj)
+  for the atom's weight list a_j, read back as balanced base-2^K digits.
+  K is at least 2 bits wider than |a_j| <= ||c||_1 W_m(1, 1), so the
+  digits are exact. A non-squarefree n has Phi_n spread to q^(n/rad n),
+  so most c_j are 0: the stream would still take all m steps, while the
+  per-row loop builds the closed-form rows W_{m-2j} for c_j != 0 only.
 * division -- peel P_n out of U_n by exact division by the atoms of the
   proper divisors of n.
 * reduction -- lift the index by the largest prime p | n: the substitution
@@ -27,8 +35,15 @@ from typing import Mapping
 
 from .errors import InternalConsistencyError
 from .exactpoly import BiPoly, _Record, exact_div_in_s
-from .lucasfam import LucasParams, _weight_row, companion_poly, cyclotomic, lucas_poly
-from .numtheory import divisors, euler_phi, factorize, is_prime
+from .lucasfam import (
+    LucasParams,
+    _weight_row,
+    companion_int,
+    companion_poly,
+    cyclotomic,
+    lucas_poly,
+)
+from .numtheory import divisors, euler_phi, factorize, is_prime, radical
 
 __all__ = [
     "AtomDecomposition",
@@ -43,14 +58,12 @@ __all__ = [
     "prime_search",
 ]
 
-def _atom_weight_list(n: int) -> tuple[int, list[int]]:
-    """(phi(n), compact coefficients of P_n) by the additive symmetric formula.
+def _weight_list_by_rows(m: int, c: tuple[int, ...]) -> list[int]:
+    """Compact coefficients of sum_j c_j (-t)^j W_{m-2j} (the symmetric sum).
 
     Builds only the closed-form rows W_{m-2j} with c_j != 0, W_0 entering the
     middle term as 1; entry j of the result is the coefficient of s^(m-2j) t^j.
     """
-    m = euler_phi(n)
-    c = cyclotomic(n).coeffs
     acc = [0] * (m // 2 + 1)
     for j in range(m // 2 + 1):
         coef = -c[j] if j % 2 else c[j]
@@ -58,12 +71,71 @@ def _atom_weight_list(n: int) -> tuple[int, list[int]]:
             k = m - 2 * j
             row = _weight_row(k, k) if k else [1]
             acc[j:] = [a + coef * w for a, w in zip(acc[j:], row)]
-    return m, acc
+    return acc
+
+
+def _unpack_balanced(value: int, width: int, count: int) -> list[int]:
+    """The digits d_0..d_{count-1} of value = sum_j d_j 2^(width*j), each with
+    |d_j| < 2^(width-1), for width a multiple of 8.
+
+    Adding 2^(width-1) to every slot makes each digit a nonnegative byte
+    slice of one to_bytes pass. A value outside the slots' range raises
+    InternalConsistencyError.
+    """
+    size = width // 8
+    half = 1 << (width - 1)
+    offset = int.from_bytes(half.to_bytes(size, "little") * count, "little")
+    try:
+        raw = memoryview((value + offset).to_bytes(size * count, "little"))
+    except OverflowError:
+        raise InternalConsistencyError(
+            f"packed value does not fit {count} slots of {width} bits"
+        ) from None
+    return [
+        int.from_bytes(raw[i : i + size], "little") - half
+        for i in range(0, size * count, size)
+    ]
+
+
+def _atom_weight_list(n: int) -> tuple[int, list[int]]:
+    """(phi(n), compact coefficients of P_n) by the additive symmetric formula.
+
+    For squarefree n, at (s, t) = (1, 2^K), W_k = W_{k-1} + (W_{k-2} << K)
+    and each Horner step in t shifts the total by K and adds
+    (-1)^j c_j W_{m-2j}; other n take the per-row loop.
+    """
+    m = euler_phi(n)
+    c = cyclotomic(n).coeffs
+    if n != radical(n):
+        return m, _weight_list_by_rows(m, c)
+    bound = sum(map(abs, c)) * companion_int(m, LucasParams(1, 1))
+    width = (bound.bit_length() + 9) // 8 * 8  # 2 bits over the bound, whole bytes
+    j = m // 2
+    total = 0 if m % 2 else (-c[j] if j % 2 else c[j])  # the middle term, W_0 as 1
+    w_prev, w = 2, 1  # W_0, W_1 at s = 1
+    for k in range(1, m + 1):
+        if k > 1:
+            w_prev, w = w, w + (w_prev << width)
+        if (m - k) % 2 == 0:
+            j = (m - k) // 2
+            coef = -c[j] if j % 2 else c[j]
+            total <<= width
+            if coef:
+                total += coef * w
+    return m, _unpack_balanced(total, width, m // 2 + 1)
 
 
 @cache
 def atom_symmetric(n: int) -> BiPoly:
-    """P_n by the additive route from cyclotomic coefficients and W_k."""
+    """P_n by the additive route from cyclotomic coefficients and W_k.
+
+    For squarefree n the sum sum_j c_j (-t)^j W_{m-2j} is evaluated as one
+    integer at (s, t) = (1, 2^K) by shifts and adds, and the weight list is
+    read back as its balanced base-2^K digits; K is at least 2 bits wider
+    than ||c||_1 W_m(1, 1), which bounds every coefficient, so the digits are
+    exact. Other n have a spread, mostly zero Phi_n and build the closed-form
+    rows W_{m-2j} with c_j != 0 only.
+    """
     if n < 1:
         raise ValueError("index must be positive")
     if n == 1:

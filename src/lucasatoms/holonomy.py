@@ -1,16 +1,21 @@
-"""Non-holonomicity at desk scale: divisibility-pattern scans and exact
+"""Holonomy evidence at desk scale: divisibility-pattern scans and exact
 refutation of hypothesized polynomial recurrences for atom sequences.
 
 For fixed integers (s, t) with t != 0, the indices n with p | P_n(s, t) form
-geometric families like {k p^h}, so the hit indicator is not eventually
-periodic for any period and the sequence P_n(s, t) satisfies no recurrence
-P_n = G_0(n) + sum_j G_j(n) P_{n-j} with polynomial coefficients. The scan
-takes v_p(P_n) from exact U_n valuations by Mobius inversion, with no
-cyclotomic and O(N log N) sieve steps on top of the O(N) recurrence, checks
-the hit set against the closed valuation forms and decides finite-horizon
-AP-expressibility in O(N); the fitter builds the exact linear system
-for candidate (order, degree) pairs and returns either a validated fit or the
-minimal inconsistent window prefix with a certificate.
+geometric families like {k p^h}. The scan takes v_p(P_n) from exact U_n
+valuations by Mobius inversion, with no cyclotomic and O(N log N) sieve steps
+on top of the O(N) recurrence, checks the hit set against the closed
+valuation forms and decides in O(N) whether the hit indicator is eventually
+periodic up to the horizon. That shows the closed forms describe the hit
+sets; it does not show that no recurrence exists, since a P-recursive
+sequence can have a hit set that is not eventually periodic (the Catalan
+numbers are odd exactly at n = 2^k - 1).
+
+The fitter builds the exact linear system for candidate (order, degree)
+pairs and returns either a validated fit or the minimal inconsistent window
+prefix with a certificate. A refutation rules out recurrences
+P_n = G_0(n) + sum_j G_j(n) P_{n-j} with G_j in Q[n] of that order and
+degree, for the one (s, t) and over the finite window given.
 """
 
 from __future__ import annotations

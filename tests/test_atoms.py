@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lucasatoms.atoms import (
+    _atom_weight_list,
+    _unpack_balanced,
+    _weight_list_by_rows,
     atom,
     atom_division,
     atom_eval,
@@ -12,8 +17,8 @@ from lucasatoms.atoms import (
 )
 from lucasatoms.errors import InternalConsistencyError
 from lucasatoms.exactpoly import BiPoly, exact_div_in_s
-from lucasatoms.lucasfam import LucasParams, companion_poly, lucas_poly
-from lucasatoms.numtheory import divisors, euler_phi, is_prime
+from lucasatoms.lucasfam import LucasParams, companion_poly, cyclotomic, lucas_poly
+from lucasatoms.numtheory import divisors, euler_phi, is_prime, radical
 
 
 def bp(terms):
@@ -64,10 +69,52 @@ def test_atom_reduction_examples():
 
 def test_route_agreement_to_120():
     # plus sparse cyclotomic indices 343 * n', where few W rows are needed
-    for n in [*range(1, 121), 343, 686, 1029, 1715, 2401]:
+    # and squarefree indices whose packed symmetric sums are large
+    for n in [*range(1, 121), 343, 686, 1029, 1715, 2401, 1159, 1221, 2310]:
         sym = atom_symmetric(n)
         assert sym == atom_division(n), n
         assert atom_reduction(n) == sym, n
+
+
+def test_packed_weight_list_matches_the_row_loop():
+    for n in [*range(2, 601), 1159, 1209, 1221]:
+        if n == radical(n):
+            m, packed = _atom_weight_list(n)
+            assert packed == _weight_list_by_rows(m, cyclotomic(n).coeffs), n
+
+
+def test_spread_index_keeps_the_row_loop(monkeypatch):
+    import lucasatoms.atoms as atoms_module
+
+    def refuse(*args):
+        raise AssertionError("a spread index was packed")
+
+    monkeypatch.setattr(atoms_module, "_unpack_balanced", refuse)
+    for n in (4, 12, 343, 3773):
+        m, rows = _atom_weight_list(n)
+        assert rows == _weight_list_by_rows(m, cyclotomic(n).coeffs), n
+
+
+def _pack(digits, width):
+    return sum(d << (width * j) for j, d in enumerate(digits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16).map(lambda b: 8 * b), st.integers(1, 40), st.data())
+def test_balanced_digits_round_trip(width, count, data):
+    half = 1 << (width - 1)
+    digits = data.draw(st.lists(st.integers(1 - half, half - 1), min_size=count, max_size=count))
+    assert _unpack_balanced(_pack(digits, width), width, count) == digits
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 16).map(lambda b: 8 * b), st.integers(1, 40), st.data())
+def test_balanced_digits_reject_a_value_past_the_slots(width, count, data):
+    half = 1 << (width - 1)
+    digits = data.draw(st.lists(st.integers(1 - half, half - 1), min_size=count, max_size=count))
+    for top in (half, -half - 1, 5 * half):
+        with pytest.raises(InternalConsistencyError):
+            _unpack_balanced(_pack(digits[:-1] + [top], width), width, count)
 
 
 def test_reduction_route_never_calls_the_division_route(monkeypatch):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +134,23 @@ def test_eventually_periodic_helper():
     for n in (3, 6, 12, 24, 48):
         geometric[n] = True
     assert not _eventually_periodic(geometric, horizon)
+
+
+def test_periodicity_is_not_a_holonomy_test():
+    # Catalan numbers satisfy (n + 2) C_{n+1} = (4n + 2) C_n, a recurrence
+    # with polynomial coefficients, yet C_n is odd exactly at n = 2^k - 1:
+    # a hit set that is not eventually periodic does not rule out a recurrence.
+    horizon = 3000
+    catalan = [1]
+    for n in range(horizon):
+        catalan.append((4 * n + 2) * catalan[n] // (n + 2))
+    assert all(catalan[n] == comb(2 * n, n) // (n + 1) for n in (0, 1, 2, 10, 999, horizon))
+    odd = [c % 2 == 1 for c in catalan]
+    assert [n for n, hit in enumerate(odd) if hit] == [
+        2**k - 1 for k in range(12)
+    ]
+    assert not _eventually_periodic(odd, horizon)
+    assert not _eventually_periodic([not hit for hit in odd], horizon)
 
 
 def _eventually_periodic_brute(indicator, horizon):
