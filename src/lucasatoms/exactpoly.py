@@ -15,7 +15,9 @@ each list packed into one decimal integer and multiplied by libmpdec's
 number-theoretic transform. exact_div_in_s takes a divisor of one weight
 whose list starts with 1 (monic in s) and divides each weight list of f by it
 as power series; every entry of f - q*g past the quotient must be 0, so a
-nonzero remainder always raises.
+nonzero remainder always raises. The schoolbook and division kernels each
+allocate one fresh list and update it in place, one entry at a time; they
+never write to their inputs, whose lists BiPoly stores and caches share.
 
 solve_rational is exact row-by-row elimination over integers, with the
 content of each reduced row divided out; only its outputs are Fractions. On
@@ -45,7 +47,9 @@ __all__ = [
     "solve_rational",
 ]
 
-# Shorter-operand length from which Kronecker substitution beats schoolbook.
+# Shorter-operand length from which products use Kronecker substitution. On
+# atom-sized entries it beats schoolbook from about 30 entries when the lists
+# are of about equal length, but only from 60-75 when the longer has 100-500.
 _KRONECKER_CUTOFF = 40
 
 
@@ -108,11 +112,11 @@ def _trim(cs: list[int]) -> list[int]:
 
 
 def _schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    la = len(a)
-    out = [0] * (la + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, y in enumerate(b):
         if y:
-            out[i : i + la] = [o + x * y for o, x in zip(out[i : i + la], a)]
+            for k, x in enumerate(a, i):
+                out[k] += x * y
     return out
 
 
@@ -178,7 +182,8 @@ def _div_lists(f: Sequence[int], g: Sequence[int], length: int) -> list[int]:
     for j in range(length if m else 0):
         c = r[j]
         if c:
-            r[j + 1 : j + m + 1] = [x - c * y for x, y in zip(r[j + 1 : j + m + 1], tail)]
+            for i, y in enumerate(tail, j + 1):
+                r[i] -= c * y
     if any(r[length:]):
         raise ValueError("inexact division: nonzero remainder")
     return r[:length]

@@ -1,5 +1,6 @@
 """The graded BiPoly core against the sparse reference routines."""
 
+import copy
 import sys
 import threading
 
@@ -7,13 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lucasatoms import atom_symmetric, companion_poly, cyclotomic, lucas_poly
+from lucasatoms import (
+    atom_division,
+    atom_reduction,
+    atom_symmetric,
+    companion_poly,
+    cyclotomic,
+    divisors,
+    lucas_poly,
+)
 from lucasatoms.exactpoly import (
     _KRONECKER_CUTOFF,
     BiPoly,
     UniPoly,
     _div_lists,
     _mul_lists,
+    _schoolbook,
     exact_div_in_s,
 )
 from sparse_reference import (
@@ -33,6 +43,14 @@ signed_polys = st.dictionaries(
     st.integers(-10**6, 10**6),
     max_size=8,
 ).map(BiPoly)
+
+
+def naive_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def weight_lists(min_size, max_size, bits):
@@ -87,10 +105,7 @@ def test_products_of_monomials_and_leading_zeros():
 def test_unipoly_product_and_division_match_schoolbook(a, b):
     # the list kernels on univariate coefficient lists, constant term first
     g = [1] + b  # a divisor of _div_lists starts with 1
-    naive = [0] * (len(a) + len(g) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(g):
-            naive[i + j] += x * y
+    naive = naive_product(a, g)
     assert _mul_lists(a, g) == naive
     assert _div_lists(naive, g, len(a)) == a
 
@@ -99,6 +114,113 @@ def test_unipoly_division_keeps_low_zero_coefficients():
     q_squared = [0, 0, 1]
     divisor = [1, 1]
     assert _div_lists(_mul_lists(q_squared, divisor), divisor, 3) == q_squared
+
+
+# -- the list kernels at their hot shapes ------------------------------------------------
+# The commonest divisors in the atom routes have 2 or 3 entries; zero entries
+# take the kernels' skips.
+
+sparse_entries = st.one_of(st.just(0), st.integers(-40, 40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(sparse_entries, min_size=1, max_size=30),
+    st.lists(sparse_entries, min_size=1, max_size=2).filter(lambda tail: tail[-1]),
+    st.integers(0, 3),
+)
+def test_short_divisors_match_the_naive_product(q, tail, pad):
+    # zero quotient entries, a zero interior entry in [1, 0, y], and a
+    # quotient length past the end of f, whose entries are then padding
+    g = [1] + tail
+    f = naive_product(q, g)
+    while f and not f[-1]:
+        f.pop()
+    assert _div_lists(f, g, len(q) + pad) == q + [0] * pad
+    bumped = naive_product(q, g)
+    bumped[-1] += 1  # the remainder is the last entry and nothing else
+    with pytest.raises(ValueError, match="inexact"):
+        _div_lists(bumped, g, len(q))
+
+
+def test_short_divisor_remainder_in_the_last_entry_only():
+    g = [1, -3]
+    f = naive_product([2, 0, 0, 5, 0, -1], g)
+    assert _div_lists(f, g, 6) == [2, 0, 0, 5, 0, -1]
+    f[-1] -= 1
+    with pytest.raises(ValueError, match="inexact"):
+        _div_lists(f, g, 6)
+    with pytest.raises(ValueError, match="inexact"):
+        _div_lists([1, 0, 0, 0, 1], [1, 0, 1], 3)  # 1 + q^4 = (1 + q^2)^2 - 2q^2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=50),
+    st.lists(sparse_entries, min_size=1, max_size=12),
+)
+def test_schoolbook_skips_zero_entries_of_the_shorter_list(a, b):
+    assert _schoolbook(a, b) == naive_product(a, b)
+    assert _schoolbook(a, [0, *b, 0, 0]) == naive_product(a, [0, *b, 0, 0])
+
+
+# -- no kernel writes to its inputs ------------------------------------------------------
+# The kernels update a fresh list in place, while BiPoly stores share their
+# lists: _from_store keeps the caller's, and the family and atom builders are
+# cached, so a write into an input would corrupt every later result.
+
+def test_list_kernels_leave_their_inputs_unchanged():
+    cases = [
+        ([3, 0, -2, 7], [1, 5]),
+        ([0, 0, 4, 0, 1], [0, 2, -1]),  # leading zeros on both sides
+        (list(range(1, 2 * _KRONECKER_CUTOFF)), list(range(-_KRONECKER_CUTOFF, 0))),
+    ]
+    for a, b in cases:
+        before = copy.deepcopy((a, b))
+        _mul_lists(a, b)
+        _mul_lists(a, a)  # squaring
+        _schoolbook(a, b)
+        assert (a, b) == before
+    for f, g, length in (
+        ([1, 0, -1], [1, 1], 2),
+        (naive_product([2, 0, 5], [1, 0, -4]), [1, 0, -4], 6),
+        (naive_product(list(range(60)), list(range(1, 50))), list(range(1, 50)), 60),
+    ):
+        before = copy.deepcopy((f, g))
+        _div_lists(f, g, length)
+        assert (f, g) == before
+
+
+def test_polynomial_operations_leave_their_operands_unchanged():
+    f = atom_symmetric(45) * (S + T) + 3  # several weights
+    g = atom_symmetric(15)
+    h = f * g
+    operands = (f, g, h, lucas_poly(9), companion_poly(3))
+    stores = [copy.deepcopy(x._c) for x in operands]
+    exact_div_in_s(h, g)
+    f * g
+    f * f
+    g * 7
+    f + f
+    g - g
+    f**5
+    g**3
+    f.subs(companion_poly(3), T * T)
+    h.subs(S + T, lucas_poly(9))
+    assert [x._c for x in operands] == stores
+
+
+def test_atom_routes_leave_the_cached_polynomials_unchanged():
+    # the bodies of the cached routes, run again over their cached sub-results
+    cached = [f(d) for d in divisors(240) for f in (lucas_poly, atom_division, atom_reduction)]
+    cached += [companion_poly(p) for p in (2, 3, 5)]
+    stores = [copy.deepcopy(x._c) for x in cached]
+    division = atom_division.__wrapped__(240)
+    reduction = atom_reduction.__wrapped__(240)
+    assert [x._c for x in cached] == stores
+    assert division == reduction == atom_symmetric(240)
+    again = [f(d) for d in divisors(240) for f in (lucas_poly, atom_division, atom_reduction)]
+    assert all(x is y for x, y in zip(again, cached))
 
 
 # -- exact division --------------------------------------------------------------------
