@@ -2,14 +2,16 @@
 refutation of hypothesized polynomial recurrences for atom sequences.
 
 For fixed integers (s, t) with t != 0, the indices n with p | P_n(s, t) form
-geometric families like {k p^h}. The scan takes v_p(P_n) from exact U_n
-valuations by Mobius inversion, with no cyclotomic and O(N log N) sieve steps
-on top of the O(N) recurrence, checks the hit set against the closed
-valuation forms and decides in O(N) whether the hit indicator is eventually
-periodic up to the horizon. That shows the closed forms describe the hit
-sets; it does not show that no recurrence exists, since a P-recursive
-sequence can have a hit set that is not eventually periodic (the Catalan
-numbers are odd exactly at n = 2^k - 1).
+geometric families like {k p^h}. The scan divides p^c out of (s, t), after
+which v_p(U_n) stays small (Lucas's law of repetition), reads it off residues
+mod p^K with p^K about 2^64, and takes v_p(P_n) from it by Mobius inversion:
+O(N) word-sized recurrence steps and O(N log N) sieve steps, with no exact U_n
+and no cyclotomic. It checks the hit set against the closed valuation forms,
+with phi from one sieve over the horizon, and decides in O(N) whether the hit
+indicator is eventually periodic up to the horizon. That shows the closed
+forms describe the hit sets; it does not show that no recurrence exists,
+since a P-recursive sequence can have a hit set that is not eventually
+periodic (the Catalan numbers are odd exactly at n = 2^k - 1).
 
 The fitter builds the exact linear system for candidate (order, degree)
 pairs and returns either a validated fit or the minimal inconsistent window
@@ -26,9 +28,9 @@ from typing import TYPE_CHECKING
 from .atoms import atom, atom_eval
 from .errors import InternalConsistencyError
 from .exactpoly import BiPoly, _Record, solve_rational
-from .lucasfam import LucasParams
-from .numtheory import euler_phi, is_prime
-from .valuations import vp_atom_closed, zero_atom_indices
+from .lucasfam import LucasParams, _lucas_pair
+from .numtheory import _phi_sieve, _vp, euler_phi, is_prime
+from .valuations import _stripped, _vp_atom_case, zero_atom_indices
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -62,31 +64,63 @@ class DivisibilityPattern(_Record):
     ap_expressible: bool
 
 
+# A residue mod p^K with p^K about 2^_RESIDUE_BITS (and K >= 1) is kept per step.
+_RESIDUE_BITS = 64
+
+
 def _atom_valuations(p: int, params: LucasParams, horizon: int) -> list[int]:
     """v_p(P_n(s, t)) at index n for 0 <= n <= horizon (entries 0 and 1 are 0).
 
-    The exact recurrence keeps (U_{n-1}, U_n) as p^g (x, y) with p not dividing
-    both x and y, so each step strips only the factors of p it gained: N steps
-    on integers of O(n) bits, even where v_p(U_n) grows linearly in n. The
+    By weighted homogeneity v_p(U_n(s, t)) = c (n - 1) + v_p(U_n(s', t')) for
+    the stripped pair of `_stripped`. When p divides t' once and p | s', the
+    loop runs V_n = U_n(s', t') / p^floor((n-1)/2) instead, an integer sequence
+    with V_n = (s'/p) V_{n-1} + (t'/p) V_{n-2} at odd n and
+    s' V_{n-1} + (t'/p) V_{n-2} at even n; else V_n = U_n(s', t'). Either way
+    v_p(V_n) stays small, so N steps mod p^K give it exactly wherever the
+    residue is nonzero; a zero residue is resolved by `_deep_valuation`. The
     atom valuations are the Mobius inversion of v_p(U_n) = sum_{d | n} v_p(P_d),
     a sieve over multiples with sum N/d steps. Needs U_n != 0 for n >= 1.
     """
-    s, t = params.s, params.t
+    c, case = _stripped(p, params)
+    s, t = case.params
+    halve = case.b == 1 and case.a != 0
+    odd, even = ((s // p, t // p), (s, t // p)) if halve else ((s, t), (s, t))
+    k = 1
+    while p ** (k + 1) <= 1 << _RESIDUE_BITS:
+        k += 1
+    mod = p**k
     vals = [0, 0]
-    x, y, g = 0, 1, 0
-    for _ in range(2, horizon + 1):
-        x, y = y, s * y + t * x
-        e, z = g, y
-        while z % p == 0:
-            e, z = e + 1, z // p
-        while e > g and x % p == 0:
-            x, y, g = x // p, y // p, g + 1
-        vals.append(e)
+    x, y = 0, 1  # (V_{n-1}, V_n) mod p^k at n = 1
+    for n in range(2, horizon + 1):
+        a, b = odd if n & 1 else even
+        x, y = y, (a * y + b * x) % mod
+        if y % p:
+            vals.append(0)
+        elif y:
+            vals.append(_vp(p, y))
+        else:
+            shift = (n - 1) // 2 if halve else 0
+            vals.append(_deep_valuation(p, case.params, n, shift, 2 * k))
+    if c or halve:  # back from v_p(V_n) to v_p(U_n(s, t))
+        vals[2:] = [
+            v + c * (n - 1) + ((n - 1) // 2 if halve else 0)
+            for n, v in enumerate(vals[2:], 2)
+        ]
     for d in range(2, horizon // 2 + 1):
-        if vals[d]:
-            for m in range(2 * d, horizon + 1, d):
-                vals[m] -= vals[d]
+        v = vals[d]
+        if v:
+            vals[2 * d :: d] = [u - v for u in vals[2 * d :: d]]
     return vals
+
+
+def _deep_valuation(p: int, params: LucasParams, n: int, shift: int, k: int) -> int:
+    """v_p(U_n / p^shift) for p^shift | U_n != 0, from U_n mod p^(shift + k) by
+    the doubling kernel, with k doubled until the residue is nonzero."""
+    while True:
+        r = _lucas_pair(n, params, p ** (shift + k))[0] // p**shift
+        if r:
+            return _vp(p, r)
+        k *= 2
 
 
 def _eventually_periodic(indicator: list[bool], horizon: int) -> bool:
@@ -125,8 +159,11 @@ def divisibility_scan(p: int, params: LucasParams, horizon: int) -> Divisibility
         )
     indicator = [v > 0 for v in _atom_valuations(p, params, horizon)]
     hits = [n for n, hit in enumerate(indicator) if hit]
+    c, case = _stripped(p, params)
+    # the case function reads phi(n) only where c > 0 or p | t'
+    phi = _phi_sieve(horizon).__getitem__ if c or case.b else euler_phi
     expected = [
-        n for n in range(2, horizon + 1) if vp_atom_closed(p, params, n) > 0
+        n for n in range(2, horizon + 1) if _vp_atom_case(p, c, case, n, phi) > 0
     ]
     return DivisibilityPattern(
         prime=p,

@@ -71,10 +71,11 @@ def companion_poly(n: int) -> BiPoly:
     return BiPoly.from_weight_list(n, _weight_row(n, n)) if n else BiPoly.constant(2)
 
 
-def _lucas_pair(n: int, params: LucasParams) -> tuple[int, int]:
-    """Exact (U_n, U_{n+1}) in O(log n) steps, doubling over the bits of n by
+def _lucas_pair(n: int, params: LucasParams, mod: int = 0) -> tuple[int, int]:
+    """(U_n, U_{n+1}) in O(log n) steps, doubling over the bits of n by
     U_2k = U_k (2 U_{k+1} - s U_k) and U_{2k+1} = U_{k+1}^2 + t U_k^2
-    (Joye-Quisquater, Electron. Lett. 1996); a set bit then steps once."""
+    (Joye-Quisquater, Electron. Lett. 1996); a set bit then steps once.
+    Exact for mod = 0, else both residues in [0, mod), reduced at every step."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     s, t = params.s, params.t
@@ -83,7 +84,9 @@ def _lucas_pair(n: int, params: LucasParams) -> tuple[int, int]:
         u0, u1 = u0 * (2 * u1 - s * u0), u1 * u1 + t * u0 * u0
         if n >> i & 1:
             u0, u1 = u1, s * u1 + t * u0
-    return u0, u1
+        if mod:
+            u0, u1 = u0 % mod, u1 % mod
+    return (u0 % mod, u1 % mod) if mod else (u0, u1)
 
 
 def lucas_int(n: int, params: LucasParams) -> int:

@@ -157,6 +157,16 @@ def euler_phi(n: int) -> int:
     return out
 
 
+def _phi_sieve(n: int) -> list[int]:
+    """[phi(0) = 0, phi(1), ..., phi(n)] by one sieve over the primes up to n,
+    with no factorization: each prime q scales its multiples by (1 - 1/q)."""
+    phi = list(range(n + 1))
+    for q in range(2, n + 1):
+        if phi[q] == q:  # untouched by every smaller prime, so q is prime
+            phi[q::q] = [v - v // q for v in phi[q::q]]
+    return phi
+
+
 @cache
 def mobius(n: int) -> int:
     """0 if n is not squarefree, else (-1)^(number of prime factors)."""

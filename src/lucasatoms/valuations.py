@@ -31,12 +31,16 @@ from __future__ import annotations
 
 import enum
 from functools import cache
+from typing import TYPE_CHECKING
 
 from .atoms import atom_eval
 from .errors import InternalConsistencyError
 from .exactpoly import _Record
 from .lucasfam import LucasParams, companion_int, discriminant, lucas_int
 from .numtheory import _vp, divisors, euler_phi, is_prime, legendre, mobius, vp_int
+
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 __all__ = [
     "RankResult",
@@ -190,7 +194,7 @@ def classify(p: int, params: LucasParams) -> ValuationCase:
 @cache
 def _stripped(p: int, params: LucasParams) -> tuple[int, ValuationCase]:
     """(c, the case of (s/p^c, t/p^2c)) for the largest c with p^c | s and p^2c | t,
-    after which p ∤ t, p ∤ s, or p divides t once. Cached: a scan looks it up per n."""
+    after which p ∤ t, p ∤ s, or p divides t once. Cached: each closed-form call looks it up."""
     case = classify(p, params)
     c = case.b // 2 if case.a is None else min(case.a, case.b // 2)
     if c == 0:
@@ -237,8 +241,19 @@ def vp_atom_closed(p: int, params: LucasParams, n: int) -> int:
     c, case = _stripped(p, params)
     if n in zero_atom_indices(params):
         raise ValueError(f"valuation of zero: P_{n}({params.s}, {params.t}) = 0")
+    return _vp_atom_case(p, c, case, n, euler_phi)
+
+
+def _vp_atom_case(
+    p: int, c: int, case: ValuationCase, n: int, phi: Callable[[int], int]
+) -> int:
+    """v_p(P_n) for the stripped pair (c, case) of `_stripped` and a nonzero P_n.
+
+    phi(n) is called only when c > 0 or p divides t once, so at c = 0 the
+    p ∤ t path factorizes no n; a scan passes a sieved table instead.
+    """
     k = case.k
-    stripped = c * euler_phi(n) if c else 0  # at c = 0 the p ∤ t path factorizes no n
+    stripped = c * phi(n) if c else 0
 
     # p ∤ t. At p = 2, W_k = U_2k / U_k is P_4 (k = 2) or P_2 P_6 with P_2 = s odd
     if case.b == 0:
@@ -255,7 +270,7 @@ def vp_atom_closed(p: int, params: LucasParams, n: int) -> int:
         return stripped + case.a
     h = _power_exponent(n // 2, p) if n % 2 == 0 else 0
     lam = (case.lam or 0) if h == 1 else 0
-    return stripped + euler_phi(n) // 2 + (1 if h else 0) + lam
+    return stripped + phi(n) // 2 + (1 if h else 0) + lam
 
 
 def vp_atom_mobius(p: int, params: LucasParams, n: int) -> int:

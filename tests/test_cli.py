@@ -296,6 +296,39 @@ def test_scan_linear_valuation_regime_json(capsys):
     )
 
 
+def test_scan_stripped_regime_golden(capsys):
+    # s = 4, t = 8 at p = 2 strips c = 1, leaving (2, 2) with p | s' and p || t':
+    # v_2(P_n) >= phi(n), so every n >= 2 hits
+    code, out, err = run_cli(
+        capsys, "scan", "--p", "2", "--s", "4", "--t", "8", "--limit", "100"
+    )
+    hits = " ".join(str(n) for n in range(2, 101))
+    assert (code, err) == (0, "")
+    assert out == f"hits: {hits}\nmatches_closed_form: true\nap_expressible: true\n"
+    code, out, err = run_cli(
+        capsys, "--json", "scan", "--p", "2", "--s", "4", "--t", "8", "--limit", "100"
+    )
+    hits = ", ".join(str(n) for n in range(2, 101))
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"command": "scan", "inputs": {"limit": 100, "p": 2, "s": 4, "t": 8}, '
+        '"result": {"p": 2, "s": 4, "t": 8, "limit": 100, "hits": [' + hits + "], "
+        '"matches_closed_form": true, "ap_expressible": true}, "warnings": []}\n'
+    )
+
+
+def test_scan_coprime_t_golden(capsys):
+    # p = 7 does not divide t: rank 3 (U_3 = s^2 + t = 14), hits at 3 * 7^h
+    code, out, err = run_cli(
+        capsys, "scan", "--p", "7", "--s", "3", "--t", "5", "--limit", "1200"
+    )
+    assert (code, out, err) == (
+        0,
+        "hits: 3 21 147 1029\nmatches_closed_form: true\nap_expressible: false\n",
+        "",
+    )
+
+
 # The certificates are unique (supported on the pivot rows and the witness row,
 # with the witness entry 1), so any exact solver must print these bytes.
 FIT_REFUTED_FIB_GOLDEN = (

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lucasatoms import holonomy, numtheory
 from lucasatoms.atoms import atom_eval
 from lucasatoms.holonomy import (
+    _atom_valuations,
     _eventually_periodic,
     divisibility_scan,
     fit_recurrence,
@@ -104,6 +106,93 @@ def test_scan_matches_cyclotomic_sum_oracle():
                 assert pattern.matches, (p, s, t)
     assert regimes == set(Regime)
     assert {(2, -1), (4, -4)} <= scanned
+
+
+def _atom_valuations_by_exact_loop(p, params, horizon):
+    """v_p(P_n) for 0 <= n <= horizon from the exact integers U_n.
+
+    The recurrence keeps (U_{n-1}, U_n) as p^g (x, y) with p not dividing both
+    x and y, so each step strips only the factors of p it gained; the atom
+    valuations are the Mobius inversion of v_p(U_n) = sum_{d | n} v_p(P_d).
+    """
+    s, t = params.s, params.t
+    vals = [0, 0]
+    x, y, g = 0, 1, 0
+    for _ in range(2, horizon + 1):
+        x, y = y, s * y + t * x
+        e, z = g, y
+        while z % p == 0:
+            e, z = e + 1, z // p
+        while e > g and x % p == 0:
+            x, y, g = x // p, y // p, g + 1
+        vals.append(e)
+    for d in range(2, horizon // 2 + 1):
+        if vals[d]:
+            for m in range(2 * d, horizon + 1, d):
+                vals[m] -= vals[d]
+    return vals
+
+
+def _valuation_grid(primes, small, units, max_a, max_b):
+    """(p, s, t) with s, t in small x small, and s = u p^a, t = v p^b for u, v
+    in units, a <= max_a, b <= max_b; pairs with a zero atom are left out."""
+    for p in primes:
+        pairs = {(s, t) for s in small for t in small}
+        pairs |= {
+            (u * p**a, v * p**b)
+            for a in range(max_a + 1)
+            for b in range(max_b + 1)
+            for u in units
+            for v in units
+        }
+        for s, t in sorted(pairs):
+            params = LucasParams(s, t)
+            if t and not zero_atom_indices(params):
+                yield p, params
+
+
+def test_scan_valuations_match_exact_loop():
+    # Every regime, stripped (c >= 1) pairs and the p || t, p | s pairs whose
+    # loop runs U_n / p^floor((n-1)/2); the whole valuation list is compared.
+    regimes = set()
+    for p, params in _valuation_grid((2, 3, 5, 7, 11, 13, 31), range(-12, 13), (1, -1, 2, -3), 4, 8):
+        regimes.add(classify(p, params).regime)
+        assert _atom_valuations(p, params, 200) == _atom_valuations_by_exact_loop(
+            p, params, 200
+        ), (p, params)
+    assert regimes == set(Regime)
+
+
+def test_scan_valuations_at_minimal_precision(monkeypatch):
+    # With residues mod p alone every hit index has a zero residue, so each one
+    # is resolved by the doubling kernel at a higher power of p.
+    moduli = []
+
+    def spy(n, params, mod=0):
+        moduli.append(mod)
+        return lucas_pair(n, params, mod)
+
+    lucas_pair = holonomy._lucas_pair
+    monkeypatch.setattr(holonomy, "_RESIDUE_BITS", 0)
+    monkeypatch.setattr(holonomy, "_lucas_pair", spy)
+    for p, params in _valuation_grid((2, 3, 5, 7), range(-6, 7), (1, -3), 3, 6):
+        assert _atom_valuations(p, params, 120) == _atom_valuations_by_exact_loop(
+            p, params, 120
+        ), (p, params)
+    assert moduli and all(mod > 1 for mod in moduli)
+    pattern = divisibility_scan(3, LucasParams(-9, -6), 200)
+    assert pattern.matches and len(pattern.hit_indices) == 199
+
+
+def test_scan_factorizes_no_index():
+    # phi(n) for the closed-form cross-check comes from one sieve over the
+    # horizon, so even the phi(n)-linear regime neither factorizes nor caches n.
+    before = numtheory.factorize.cache_info(), numtheory.euler_phi.cache_info()
+    pattern = divisibility_scan(3, LucasParams(-9, -6), 2000)
+    after = numtheory.factorize.cache_info(), numtheory.euler_phi.cache_info()
+    assert pattern.matches
+    assert [i.hits + i.misses for i in after] == [i.hits + i.misses for i in before]
+    assert [i.currsize for i in after] == [i.currsize for i in before]
 
 
 def test_scan_builds_no_cyclotomic():

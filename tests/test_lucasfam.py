@@ -75,6 +75,17 @@ def test_integer_doubling_matches_recurrence_oracle():
             assert companion_int(n, params) == w, (n, s, t)
 
 
+def test_lucas_pair_residues_match_exact_values():
+    for s, t in [(1, 1), (-3, 2), (5, -7), (-4, -6), (0, -5)]:
+        params = LucasParams(s, t)
+        for n in range(0, 301):
+            exact = int_recurrence_oracle(n, params)[0], int_recurrence_oracle(n + 1, params)[0]
+            assert lucasfam._lucas_pair(n, params) == exact, (n, s, t)
+            assert lucasfam._lucas_pair(n, params, 0) == exact, (n, s, t)
+            for m in (2, 8, 2**64, 3, 3**5, 5**27, 31**13):
+                assert lucasfam._lucas_pair(n, params, m) == (exact[0] % m, exact[1] % m), (n, s, t, m)
+
+
 def test_integer_specializations():
     fib = LucasParams(1, 1)
     assert lucas_int(0, fib) == 0

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from lucasatoms.numtheory import (
+    _phi_sieve,
     divisors,
     euler_phi,
     factorize,
@@ -71,6 +72,12 @@ def test_euler_phi_rejects_zero():
 def test_phi_divisor_sum_identity():
     for n in range(1, 10001):
         assert sum(euler_phi(d) for d in divisors(n)) == n
+
+
+def test_phi_sieve_matches_euler_phi():
+    assert _phi_sieve(0) == [0]
+    assert _phi_sieve(1) == [0, 1]
+    assert _phi_sieve(10000) == [0] + [euler_phi(n) for n in range(1, 10001)]
 
 
 # -- mobius ----------------------------------------------------------------------

@@ -411,3 +411,14 @@ def test_warm_closed_forms_classify_nothing_per_index(monkeypatch):
     ]
     assert got == expected
     assert classified == []
+
+
+def test_unstripped_coprime_t_closed_form_factorizes_no_index():
+    # at c = 0 with p ∤ t the closed form needs no phi(n), so no n is factorized
+    expected = [vp_atom_oracle(41, LucasParams(-5, 8), n) for n in range(200, 300)]
+    classify(41, LucasParams(-5, 8))
+    before = numtheory.factorize.cache_info()
+    got = [vp_atom_closed(41, LucasParams(-5, 8), n) for n in range(200, 300)]
+    after = numtheory.factorize.cache_info()
+    assert got == expected
+    assert after.hits + after.misses == before.hits + before.misses
