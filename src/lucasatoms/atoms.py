@@ -225,7 +225,12 @@ def atom(n: int, route: str = "checked") -> BiPoly:
 
 def atom_eval(n: int, params: LucasParams) -> int:
     """Exact integer P_n(s, t) by the symmetric formula over integer W_k values:
-    Horner in -t from j = m/2 down to 0 while W_{m-2j} streams upwards."""
+    Horner in -t from j = m/2 down to 0 while W_{m-2j} streams upwards.
+
+    Only the W_k of m's parity enter the sum, so the stream steps by two,
+    W_{k+2} = W_2 W_k - t^2 W_{k-2} with W_2 = s^2 + 2t, from W_0 = 2 and
+    W_2 (m even, the middle term taking W_0 as 1) or W_1 = s and W_3 (m odd):
+    m/2 steps, each one W step and one Horner step."""
     if n < 1:
         raise ValueError("index must be positive")
     if n == 1:
@@ -233,14 +238,16 @@ def atom_eval(n: int, params: LucasParams) -> int:
     m = euler_phi(n)
     c = cyclotomic(n).coeffs
     s, t = params.s, params.t
-    total = 0 if m % 2 else c[m // 2]  # the middle term, W_0 taken as 1
-    w_prev, w = 2, s  # W_0, W_1
-    for k in range(1, m + 1):
-        if k > 1:
-            w_prev, w = w, s * w + t * w_prev
-        if (m - k) % 2 == 0:
-            total = -t * total + c[(m - k) // 2] * w
-    return total
+    w2, tt = s * s + 2 * t, t * t
+    h = m // 2
+    if m % 2:
+        total, w_prev, w = c[h] * s, s, s * (w2 + t)  # c_h W_1; W_1, W_3
+    else:
+        total, w_prev, w = c[h], 2, w2  # the middle term; W_0, W_2
+    for j in range(h - 1, 0, -1):  # w is W_{m-2j}
+        total = c[j] * w - t * total
+        w_prev, w = w, w2 * w - tt * w_prev
+    return c[0] * w - t * total if h else total
 
 
 class AtomDecomposition(_Record):

@@ -23,6 +23,7 @@ degree, for the one (s, t) and over the finite window given.
 from __future__ import annotations
 
 from functools import cache
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from .atoms import atom, atom_eval
@@ -158,20 +159,21 @@ def divisibility_scan(p: int, params: LucasParams, horizon: int) -> Divisibility
             f"degenerate parameters: atom value vanishes at {sorted(zeros)}"
         )
     indicator = [v > 0 for v in _atom_valuations(p, params, horizon)]
-    hits = [n for n, hit in enumerate(indicator) if hit]
     c, case = _stripped(p, params)
     # the case function reads phi(n) only where c > 0 or p | t'
     phi = _phi_sieve(horizon).__getitem__ if c or case.b else euler_phi
-    expected = [
-        n for n in range(2, horizon + 1) if _vp_atom_case(p, c, case, n, phi) > 0
-    ]
+    closed = [_vp_atom_case(p, c, case, n, phi) > 0 for n in range(2, horizon + 1)]
+    del phi  # free the phi table before the hit tuple is built
+    matches = closed == indicator[2:]
+    hits = tuple(compress(range(horizon + 1), indicator))
     return DivisibilityPattern(
         prime=p,
         params=params,
         horizon=horizon,
-        hit_indices=tuple(hits),
-        expected=tuple(expected),
-        matches=hits == expected,
+        hit_indices=hits,
+        # one tuple serves both fields when they agree
+        expected=hits if matches else tuple(compress(range(2, horizon + 1), closed)),
+        matches=matches,
         ap_expressible=_eventually_periodic(indicator, horizon),
     )
 

@@ -194,13 +194,30 @@ def vp_int(p: int, x: int) -> int:
 
 
 def _vp(p: int, x: int) -> int:
-    """Largest e with p^e dividing x (x != 0), for a p the caller proved prime."""
+    """Largest e with p^e dividing x (x != 0), for a p the caller proved prime.
+
+    O(log e) divisions: p = 2 reads the lowest set bit of x. An odd p returns
+    0 after one remainder when p ∤ x; otherwise it divides out p^(2^i) while
+    that divides, doubling i, then takes the powers back down in turn, since
+    what is left has valuation below the last power's exponent.
+    """
     if x == 0:
         raise ValueError("valuation of zero is undefined")
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
+    if p == 2:
+        return (x & -x).bit_length() - 1
+    if x % p:
+        return 0
+    e, q, powers = 0, p, []
+    while x % q == 0:
+        x //= q
+        e += 1 << len(powers)
+        powers.append(q)
+        q *= q
+    for i in range(len(powers) - 1, -1, -1):
+        q = powers[i]
+        if x % q == 0:
+            x //= q
+            e += 1 << i
     return e
 
 

@@ -103,11 +103,13 @@ class ValuationCase(_Record):
     lam: int | None
 
 
+@cache
 def zero_atom_indices(params: LucasParams) -> frozenset[int]:
     """Indices n >= 2 with P_n(s, t) = 0; a subset of {2, 3, 4, 6} when t != 0.
 
     An atom value vanishes only when the root ratio is a root of unity whose
-    real part is rational, which pins the index to 2, 3, 4 or 6.
+    real part is rational, which pins the index to 2, 3, 4 or 6. Cached: every
+    closed-form call looks it up, and the frozenset is safe to share.
     """
     s, t = params.s, params.t
     out = set()

@@ -224,6 +224,38 @@ def test_atom_eval_matches_polynomial():
             assert atom_eval(n, LucasParams(s, t)) == poly.eval(s, t), (n, s, t)
 
 
+def atom_eval_every_k(n, params):
+    """P_n(s, t) by the symmetric sum with every W_k streamed,
+    W_k = s W_{k-1} + t W_{k-2}, and a Horner step in -t at each k of m's parity."""
+    if n == 1:
+        return 1
+    m = euler_phi(n)
+    c = cyclotomic(n).coeffs
+    s, t = params
+    total = 0 if m % 2 else c[m // 2]  # the middle term, W_0 taken as 1
+    w_prev, w = 2, s  # W_0, W_1
+    for k in range(1, m + 1):
+        if k > 1:
+            w_prev, w = w, s * w + t * w_prev
+        if (m - k) % 2 == 0:
+            total = -t * total + c[(m - k) // 2] * w
+    return total
+
+
+def test_atom_eval_matches_the_every_k_stream():
+    # s = 0, t = 0 and the degenerate pairs (s^2 + t, s^2 + 2t or s^2 + 3t zero) included
+    points = [LucasParams(s, t) for s in range(-6, 7) for t in range(-6, 7)]
+    for n in range(1, 401):
+        for params in points:
+            assert atom_eval(n, params) == atom_eval_every_k(n, params), (n, params)
+
+
+@pytest.mark.parametrize("n", [2310, 4096, 5005])
+def test_atom_eval_matches_the_every_k_stream_at_large_n(n):
+    for params in (LucasParams(1, 1), LucasParams(5, 7), LucasParams(-3, 2)):
+        assert atom_eval(n, params) == atom_eval_every_k(n, params), (n, params)
+
+
 def test_decompose_examples():
     dec = decompose_ratio([6], [2, 3])
     assert dec.exponents == {2: (1, 1), 3: (1, 1), 6: (1, 0)}

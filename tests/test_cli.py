@@ -240,6 +240,28 @@ def test_json_val_golden_after_stripping_p_squared(capsys):
     )
 
 
+# stripped regimes with large valuations: 2^2 out of (8, 32), 3^2 out of (9, 243)
+VAL_LARGE_GOLDENS = {
+    "val --p 2 --s 8 --t 32 --n 210": "closed=120 mobius=120 oracle=120\n",
+    "val --p 3 --s 9 --t 243 --n 200": "closed=160 mobius=160 oracle=160\n",
+    "--json val --p 2 --s 8 --t 32 --n 210": (
+        '{"command": "val", "inputs": {"method": "all", "n": 210, "p": 2, "s": 8, "t": 32},'
+        ' "result": {"p": 2, "s": 8, "t": 32, "n": 210, "method": "all",'
+        ' "values": {"closed": 120, "mobius": 120, "oracle": 120}}, "warnings": []}\n'
+    ),
+    "--json val --p 3 --s 9 --t 243 --n 200": (
+        '{"command": "val", "inputs": {"method": "all", "n": 200, "p": 3, "s": 9, "t": 243},'
+        ' "result": {"p": 3, "s": 9, "t": 243, "n": 200, "method": "all",'
+        ' "values": {"closed": 160, "mobius": 160, "oracle": 160}}, "warnings": []}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(VAL_LARGE_GOLDENS))
+def test_val_golden_with_large_valuations(capsys, argv):
+    assert run_cli(capsys, *argv.split()) == (0, VAL_LARGE_GOLDENS[argv], "")
+
+
 def test_decompose_output(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--num", "6", "--den", "2,3")
     assert code == 0

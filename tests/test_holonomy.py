@@ -202,6 +202,27 @@ def test_scan_builds_no_cyclotomic():
     assert after.hits + after.misses == before.hits + before.misses
 
 
+def test_scan_shares_one_tuple_when_the_closed_forms_agree():
+    for p, params in ((3, LucasParams(-9, -6)), (2, FIB), (5, LucasParams(3, 7))):
+        pattern = divisibility_scan(p, params, 300)
+        assert pattern.matches
+        assert pattern.hit_indices is pattern.expected
+
+
+def test_scan_keeps_the_closed_form_hits_apart_on_disagreement(monkeypatch):
+    # a closed form that also claims index 7 must give its own expected tuple
+    case_fn = holonomy._vp_atom_case
+
+    def claims_seven(p, c, case, n, phi):
+        return case_fn(p, c, case, n, phi) or n == 7
+
+    monkeypatch.setattr(holonomy, "_vp_atom_case", claims_seven)
+    pattern = divisibility_scan(2, FIB, 200)
+    assert not pattern.matches
+    assert pattern.hit_indices == (3, 6, 12, 24, 48, 96, 192)
+    assert pattern.expected == (3, 6, 7, 12, 24, 48, 96, 192)
+
+
 def test_scan_rejects_bad_inputs():
     with pytest.raises(ValueError):
         divisibility_scan(2, LucasParams(7, 0), 50)

@@ -4,6 +4,7 @@ import pytest
 
 from lucasatoms.numtheory import (
     _phi_sieve,
+    _vp,
     divisors,
     euler_phi,
     factorize,
@@ -122,6 +123,28 @@ def test_vp_int_prime_power_times_coprime(p):
             if m % p == 0:
                 continue
             assert vp_int(p, p**e * m) == e
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 10**9 + 7])
+def test_vp_matches_the_division_loop(p):
+    # _vp takes O(log e) divisions; vp_oracle divides once per unit of e
+    cofactors = (1, 2, 3, 7, p - 1, p + 1, 2 * p, 5 * p**3, 10**40 + 1)
+    cases = [(e, u, sign) for e in range(70) for u in cofactors for sign in (1, -1)]
+    # the oracle is quadratic in e, so large e take fewer cofactors, signs alternating
+    large = [(e, u) for e in (127, 128, 129, 1023, 1024, 4999, 5000) for u in cofactors[4:8]]
+    cases += [(e, u, (-1) ** i) for i, (e, u) in enumerate(large)]
+    for e, u, sign in cases:
+        x = sign * u * p**e
+        assert _vp(p, x) == vp_oracle(p, x), (p, e, u, sign)
+
+
+def test_vp_zero_and_composite_are_rejected():
+    for p in (2, 3, 10**9 + 7):
+        with pytest.raises(ValueError, match="zero"):
+            _vp(p, 0)
+    for p in (1, 4, 9, 91, 3 * (10**9 + 7)):
+        with pytest.raises(ValueError, match="not prime"):
+            vp_int(p, 12)
 
 
 # -- legendre ---------------------------------------------------------------------

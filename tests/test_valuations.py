@@ -169,6 +169,12 @@ def test_zero_atom_indices():
     assert not lucas_value_is_zero(5, LucasParams(1, -1))
 
 
+def test_zero_atom_indices_is_memoised_as_an_immutable_set():
+    first = zero_atom_indices(LucasParams(2, -4))
+    assert first == frozenset({3}) and isinstance(first, frozenset)
+    assert zero_atom_indices(LucasParams(2, -4)) is first
+
+
 # -- Lucas-sequence valuations -------------------------------------------------------
 
 def test_vp_lucas_spots():
