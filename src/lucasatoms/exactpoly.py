@@ -22,7 +22,9 @@ never write to their inputs, whose lists BiPoly stores and caches share.
 solve_rational is exact row-by-row elimination over integers, with the
 content of each reduced row divided out; only its outputs are Fractions. On
 inconsistency its certificate's last nonzero entry is the first row whose
-prefix is inconsistent, and that entry is 1.
+prefix is inconsistent, and that entry is 1. Its core, _eliminate, draws the
+rows from an iterable and stops at that row, so a caller can build rows on
+demand.
 
 _Record is the base of the library's immutable result records. decimal and
 fractions load on first use, so a call that needs neither never imports them.
@@ -493,11 +495,23 @@ def solve_rational(
     n = len(rows[0])
     if any(len(row) != n for row in rows) or len(rhs) != m:
         raise ValueError("dimension mismatch between rows and right-hand side")
+    result = _eliminate(zip(rows, rhs), n)
+    if result.certificate is None:
+        return result
+    padding = (Fraction(0),) * (m - len(result.certificate))  # 0 past the witness row
+    return LinearSolveResult("inconsistent", None, None, result.certificate + padding)
+
+
+def _eliminate(system: Iterable[tuple[Sequence, int | Fraction]], n: int) -> LinearSolveResult:
+    """`solve_rational`'s elimination over (row, rhs) pairs with n unknowns, each
+    drawn only when the previous one is reduced: nothing past the first
+    inconsistent row is drawn, and its certificate covers the rows drawn."""
+    from fractions import Fraction
 
     scales: list[int] = []
     # (pivot column, row, its rhs, its row combination), all integers
     pivots: list[tuple[int, list[int], int, list[int]]] = []
-    for i, (row, rhs_i) in enumerate(zip(rows, rhs)):
+    for i, (row, rhs_i) in enumerate(system):
         scale = lcm(rhs_i.denominator, *(v.denominator for v in row))
         scales.append(scale)
         a = [int(v * scale) for v in row]
@@ -520,9 +534,8 @@ def solve_rational(
             if b:
                 # y_j = comb_j * scale_j, normalised to y_i = 1
                 w = comb[i] * scale
-                certificate = [Fraction(c * sc, w) for c, sc in zip(comb, scales)]
-                certificate += [Fraction(0)] * (m - 1 - i)
-                return LinearSolveResult("inconsistent", None, None, tuple(certificate))
+                certificate = tuple(Fraction(c * sc, w) for c, sc in zip(comb, scales))
+                return LinearSolveResult("inconsistent", None, None, certificate)
             continue
         pivots.append((col, a, b, comb))
 

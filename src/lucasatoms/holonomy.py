@@ -5,17 +5,21 @@ For fixed integers (s, t) with t != 0, the indices n with p | P_n(s, t) form
 geometric families like {k p^h}. The scan divides p^c out of (s, t), after
 which v_p(U_n) stays small (Lucas's law of repetition), reads it off residues
 mod p^K with p^K about 2^64, and takes v_p(P_n) from it by Mobius inversion:
-O(N) word-sized recurrence steps and O(N log N) sieve steps, with no exact U_n
-and no cyclotomic. It checks the hit set against the closed valuation forms,
-with phi from one sieve over the horizon, and decides in O(N) whether the hit
-indicator is eventually periodic up to the horizon. That shows the closed
-forms describe the hit sets; it does not show that no recurrence exists,
-since a P-recursive sequence can have a hit set that is not eventually
-periodic (the Catalan numbers are odd exactly at n = 2^k - 1).
+O(N) word-sized recurrence steps and at most O(N log N) sieve steps, with no
+exact U_n and no cyclotomic. It compares every v_p(P_n) with the closed forms,
+built as one list from a phi sieve: unequal hit sets give matches=False, and
+an unequal value with equal hit sets raises InternalConsistencyError. It also
+decides in O(N) whether the hit indicator is eventually periodic up to the
+horizon. That shows the closed forms describe the valuations; it does not
+show that no recurrence exists, since a P-recursive sequence can have a hit
+set that is not eventually periodic (the Catalan numbers are odd exactly at
+n = 2^k - 1).
 
 The fitter builds the exact linear system for candidate (order, degree)
 pairs and returns either a validated fit or the minimal inconsistent window
-prefix with a certificate. A refutation rules out recurrences
+prefix with a certificate, checked to give y A = 0 and y b != 0. It builds
+each row, and the atom value it adds, only when the elimination draws it, so
+a refutation stops at the witness row. A refutation rules out recurrences
 P_n = G_0(n) + sum_j G_j(n) P_{n-j} with G_j in Q[n] of that order and
 degree, for the one (s, t) and over the finite window given.
 """
@@ -24,16 +28,20 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import compress
+from math import gcd, lcm
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .atoms import atom, atom_eval
 from .errors import InternalConsistencyError
-from .exactpoly import BiPoly, _Record, solve_rational
+from .exactpoly import BiPoly, _eliminate, _Record
 from .lucasfam import LucasParams, _lucas_pair
-from .numtheory import _phi_sieve, _vp, euler_phi, is_prime
-from .valuations import _stripped, _vp_atom_case, zero_atom_indices
+from .numtheory import _mobius_invert, _vp, euler_phi, is_prime
+from .valuations import _closed_atom_valuations, _stripped, zero_atom_indices
 
 if TYPE_CHECKING:
+    from array import array
+    from collections.abc import Sequence
     from fractions import Fraction
 
 __all__ = [
@@ -50,7 +58,8 @@ __all__ = [
 class DivisibilityPattern(_Record):
     """Hit set {2 <= n <= horizon : p | P_n(s, t)} and its diagnostics.
 
-    matches records agreement with the closed valuation forms;
+    matches records agreement with the closed valuation forms (a disagreement
+    in value alone raises InternalConsistencyError);
     ap_expressible records whether some period Q <= horizon/3 makes the hit
     indicator periodic from horizon/3 on (the finite-horizon stand-in for
     "finite union of arithmetic progressions plus a finite set").
@@ -69,8 +78,8 @@ class DivisibilityPattern(_Record):
 _RESIDUE_BITS = 64
 
 
-def _atom_valuations(p: int, params: LucasParams, horizon: int) -> list[int]:
-    """v_p(P_n(s, t)) at index n for 0 <= n <= horizon (entries 0 and 1 are 0).
+def _atom_valuations(p: int, params: LucasParams, horizon: int) -> array[int]:
+    """array('q') of v_p(P_n(s, t)) at index n for 0 <= n <= horizon (entries 0 and 1 are 0).
 
     By weighted homogeneity v_p(U_n(s, t)) = c (n - 1) + v_p(U_n(s', t')) for
     the stripped pair of `_stripped`. When p divides t' once and p | s', the
@@ -80,37 +89,53 @@ def _atom_valuations(p: int, params: LucasParams, horizon: int) -> list[int]:
     v_p(V_n) stays small, so N steps mod p^K give it exactly wherever the
     residue is nonzero; a zero residue is resolved by `_deep_valuation`. The
     atom valuations are the Mobius inversion of v_p(U_n) = sum_{d | n} v_p(P_d),
-    a sieve over multiples with sum N/d steps. Needs U_n != 0 for n >= 1.
+    which `_mobius_invert` computes for any list in about N log log N steps.
+    With no shift (c = 0 and no halving) few entries are nonzero, and
+    subtracting each nonzero v_p(P_d) from the multiples of d is faster.
+    Needs U_n != 0.
     """
+    from array import array
+
     c, case = _stripped(p, params)
     s, t = case.params
     halve = case.b == 1 and case.a != 0
-    odd, even = ((s // p, t // p), (s, t // p)) if halve else ((s, t), (s, t))
     k = 1
     while p ** (k + 1) <= 1 << _RESIDUE_BITS:
         k += 1
     mod = p**k
-    vals = [0, 0]
+    # start from the shift c (n - 1) + floor((n - 1)/2 if halve) = (q (n - 1)) // 2
+    q = 2 * c + halve
+    shift = (q * (n - 1) // 2 for n in range(horizon + 2))
+    vals = array("q", shift if q else bytes(8 * horizon + 16))
+    vals[0] = 0
+
+    def deep(n: int) -> int:  # v_p(V_n) where V_n = 0 mod p^k
+        return _deep_valuation(p, case.params, n, (n - 1) // 2 if halve else 0, 2 * k)
+
+    # a nonzero residue y has v_p(y) < k, read off gcd(y, p^k) = p^v_p(y)
+    exponent = {p**i: i for i in range(k)}
     x, y = 0, 1  # (V_{n-1}, V_n) mod p^k at n = 1
-    for n in range(2, horizon + 1):
-        a, b = odd if n & 1 else even
-        x, y = y, (a * y + b * x) % mod
-        if y % p:
-            vals.append(0)
-        elif y:
-            vals.append(_vp(p, y))
-        else:
-            shift = (n - 1) // 2 if halve else 0
-            vals.append(_deep_valuation(p, case.params, n, shift, 2 * k))
-    if c or halve:  # back from v_p(V_n) to v_p(U_n(s, t))
-        vals[2:] = [
-            v + c * (n - 1) + ((n - 1) // 2 if halve else 0)
-            for n, v in enumerate(vals[2:], 2)
-        ]
-    for d in range(2, horizon // 2 + 1):
+    if halve:  # even n steps by (s', t'/p), odd n + 1 by (s'/p, t'/p)
+        s_odd, t = s // p, t // p
+        for n in range(2, horizon + 1, 2):
+            x, y = y, (s * y + t * x) % mod
+            if not y % p:
+                vals[n] += exponent[gcd(y, mod)] if y else deep(n)
+            x, y = y, (s_odd * y + t * x) % mod
+            if not y % p:
+                vals[n + 1] += exponent[gcd(y, mod)] if y else deep(n + 1)
+    else:
+        for n in range(2, horizon + 1):
+            x, y = y, (s * y + t * x) % mod
+            if not y % p:
+                vals[n] += exponent[gcd(y, mod)] if y else deep(n)
+    del vals[horizon + 1 :]  # the halving loop's last odd step may pass the horizon
+    if q:  # the shift makes the list dense
+        return _mobius_invert(vals)
+    for d in range(2, horizon // 2 + 1):  # it is sparse: subtract each v_p(P_d) from its multiples
         v = vals[d]
         if v:
-            vals[2 * d :: d] = [u - v for u in vals[2 * d :: d]]
+            vals[2 * d :: d] = array("q", [u - v for u in vals[2 * d :: d]])
     return vals
 
 
@@ -124,29 +149,25 @@ def _deep_valuation(p: int, params: LucasParams, n: int, shift: int, k: int) -> 
         k *= 2
 
 
-def _eventually_periodic(indicator: list[bool], horizon: int) -> bool:
+def _eventually_periodic(indicator: Sequence[int], horizon: int) -> bool:
     """True iff some period Q <= horizon/3 has no break from horizon/3 onward.
 
     A genuinely (APs + finite set)-shaped hit set keeps its transient part in
     the early horizon, so requiring the periodic tail to start by horizon/3
-    leaves at least a full third of the horizon as evidence. The least period
-    of indicator[tail..horizon] is its length minus its longest proper border,
-    read off the prefix function in linear time.
+    leaves at least a full third of the horizon as evidence. A least period Q
+    of the tail at most half its length (as horizon/3 is) is where the tail's
+    first half first occurs again past 0: an earlier occurrence j would make
+    the tail's first j + Q entries periodic with both j and Q, hence (Fine and
+    Wilf) with gcd(j, Q) < Q, and so the whole tail. Both searches run over
+    bytes in linear time.
     """
-    seg = indicator[max(2, horizon // 3) : horizon + 1]
-    border = [0] * len(seg)
-    k = 0
-    for i in range(1, len(seg)):
-        while k and seg[i] != seg[k]:
-            k = border[k - 1]
-        if seg[i] == seg[k]:
-            k += 1
-        border[i] = k
-    return 0 < len(seg) - k <= horizon // 3
+    seg = bytes(indicator[max(2, horizon // 3) : horizon + 1])
+    q = seg.find(seg[: len(seg) // 2], 1)
+    return 0 < q <= horizon // 3 and seg[q:] == seg[:-q]
 
 
 def divisibility_scan(p: int, params: LucasParams, horizon: int) -> DivisibilityPattern:
-    """Scan p | P_n(s, t) for 2 <= n <= horizon and compare with the closed forms."""
+    """Scan p | P_n(s, t) for 2 <= n <= horizon and compare every v_p(P_n) with the closed forms."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if horizon < 2:
@@ -158,13 +179,18 @@ def divisibility_scan(p: int, params: LucasParams, horizon: int) -> Divisibility
         raise ValueError(
             f"degenerate parameters: atom value vanishes at {sorted(zeros)}"
         )
-    indicator = [v > 0 for v in _atom_valuations(p, params, horizon)]
-    c, case = _stripped(p, params)
-    # the case function reads phi(n) only where c > 0 or p | t'
-    phi = _phi_sieve(horizon).__getitem__ if c or case.b else euler_phi
-    closed = [_vp_atom_case(p, c, case, n, phi) > 0 for n in range(2, horizon + 1)]
-    del phi  # free the phi table before the hit tuple is built
-    matches = closed == indicator[2:]
+    closed = _closed_atom_valuations(p, params, horizon)
+    vals = _atom_valuations(p, params, horizon)
+    indicator = bytes(map((0).__lt__, vals))
+    matches = vals == closed
+    if not matches:
+        expected = bytes(map((0).__lt__, closed))
+        if expected == indicator:
+            n = next(n for n, (u, v) in enumerate(zip(vals, closed)) if u != v)
+            msg = f"index {n}: valuation {vals[n]}, closed form {closed[n]}"
+            raise InternalConsistencyError(msg)
+    del vals, closed  # free both lists before the hit tuple is built
+    ap_expressible = _eventually_periodic(indicator, horizon)
     hits = tuple(compress(range(horizon + 1), indicator))
     return DivisibilityPattern(
         prime=p,
@@ -172,9 +198,9 @@ def divisibility_scan(p: int, params: LucasParams, horizon: int) -> Divisibility
         horizon=horizon,
         hit_indices=hits,
         # one tuple serves both fields when they agree
-        expected=hits if matches else tuple(compress(range(2, horizon + 1), closed)),
+        expected=hits if matches else tuple(compress(range(horizon + 1), expected)),
         matches=matches,
-        ap_expressible=_eventually_periodic(indicator, horizon),
+        ap_expressible=ap_expressible,
     )
 
 
@@ -215,6 +241,18 @@ def recurrence_row(
     return row, values[n]
 
 
+def _check_certificate(y: Sequence[Fraction], system: list[tuple[list[int], int]]) -> None:
+    """Raise unless y A = 0 and y b != 0 over the rows (A | b) of system, in
+    integers after clearing the denominators of y."""
+    scale = lcm(*(v.denominator for v in y))
+    y = [v.numerator * (scale // v.denominator) for v in y]
+    rows, rhs = zip(*system)
+    if len(y) != len(rows) or any(sum(map(mul, y, column)) for column in zip(*rows)):
+        raise InternalConsistencyError("refutation certificate fails y.A = 0")
+    if not sum(map(mul, y, rhs)):
+        raise InternalConsistencyError("refutation certificate fails y.b != 0")
+
+
 def fit_recurrence(
     params: LucasParams, order: int, degree: int, n_start: int, n_end: int
 ) -> RecurrenceFit:
@@ -230,12 +268,19 @@ def fit_recurrence(
         raise ValueError(
             f"window too short: need at least {2 * unknowns} equations"
         )
-    values = {n: atom_eval(n, params) for n in range(n_start - order, n_end + 1)}
+    values = {n: atom_eval(n, params) for n in range(n_start - order, n_start)}
     window = range(n_start, n_end + 1)
-    rows, rhs = zip(*(recurrence_row(values, n, order, degree) for n in window))
-    result = solve_rational(rows, rhs)
+    drawn: list[tuple[list[int], int]] = []
+
+    def system():
+        for n in window:  # one atom value and one row each time the solver asks
+            values[n] = atom_eval(n, params)
+            drawn.append(recurrence_row(values, n, order, degree))
+            yield drawn[-1]
+
+    result = _eliminate(system(), unknowns)
     if result.status == "inconsistent":
-        last = max(i for i, y in enumerate(result.certificate) if y)
+        _check_certificate(result.certificate, drawn)
         return RecurrenceFit(
             order=order,
             degree=degree,
@@ -243,8 +288,8 @@ def fit_recurrence(
             status="refuted",
             coefficients=None,
             dimension=None,
-            witness_end=n_start + last,
-            certificate=result.certificate[: last + 1],
+            witness_end=n_start + len(drawn) - 1,
+            certificate=result.certificate,
         )
     coeffs = tuple(
         tuple(result.solution[j * (degree + 1) + r] for r in range(degree + 1))

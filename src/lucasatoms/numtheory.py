@@ -5,6 +5,13 @@ from __future__ import annotations
 import math
 import random
 from functools import cache
+from itertools import compress
+from operator import sub
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from array import array
+    from collections.abc import Iterator
 
 __all__ = [
     "DETERMINISTIC_PRIMALITY_BOUND",
@@ -157,14 +164,34 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def _phi_sieve(n: int) -> list[int]:
-    """[phi(0) = 0, phi(1), ..., phi(n)] by one sieve over the primes up to n,
-    with no factorization: each prime q scales its multiples by (1 - 1/q)."""
-    phi = list(range(n + 1))
-    for q in range(2, n + 1):
-        if phi[q] == q:  # untouched by every smaller prime, so q is prime
-            phi[q::q] = [v - v // q for v in phi[q::q]]
-    return phi
+def _phi_sieve(n: int) -> array[int]:
+    """array('q') of phi(0) = 0, phi(1), ..., phi(n), with no factorization:
+    the Mobius inversion of m = sum_{d | m} phi(d)."""
+    from array import array
+
+    return _mobius_invert(array("q", range(n + 1)))
+
+
+def _mobius_invert(vals: array[int]) -> array[int]:
+    """Turn f(0..n) in place into g with f(m) = sum_{d | m} g(d) for m >= 1:
+    g = f * mu, and mu is the product of (1 - [r]) over the primes r, so one
+    pass per prime r <= n sets f(m) -= f(m/r) at its multiples m, from copies
+    taken before the pass, about n log log n steps in all."""
+    from array import array
+
+    n = len(vals) - 1
+    for r in _primes(n):
+        vals[r::r] = array("q", map(sub, vals[r::r], vals[1 : n // r + 1]))
+    return vals
+
+
+def _primes(n: int) -> Iterator[int]:
+    """The primes up to n, ascending, by a sieve of Eratosthenes on one bytearray."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, n + 1, q)))
+    return compress(range(n + 1), sieve)
 
 
 @cache

@@ -37,10 +37,10 @@ from .atoms import atom_eval
 from .errors import InternalConsistencyError
 from .exactpoly import _Record
 from .lucasfam import LucasParams, companion_int, discriminant, lucas_int
-from .numtheory import _vp, divisors, euler_phi, is_prime, legendre, mobius, vp_int
+from .numtheory import _phi_sieve, _vp, divisors, euler_phi, is_prime, legendre, mobius, vp_int
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from array import array
 
 __all__ = [
     "RankResult",
@@ -243,19 +243,17 @@ def vp_atom_closed(p: int, params: LucasParams, n: int) -> int:
     c, case = _stripped(p, params)
     if n in zero_atom_indices(params):
         raise ValueError(f"valuation of zero: P_{n}({params.s}, {params.t}) = 0")
-    return _vp_atom_case(p, c, case, n, euler_phi)
+    return _vp_atom_case(p, c, case, n)
 
 
-def _vp_atom_case(
-    p: int, c: int, case: ValuationCase, n: int, phi: Callable[[int], int]
-) -> int:
+def _vp_atom_case(p: int, c: int, case: ValuationCase, n: int) -> int:
     """v_p(P_n) for the stripped pair (c, case) of `_stripped` and a nonzero P_n.
 
-    phi(n) is called only when c > 0 or p divides t once, so at c = 0 the
-    p ∤ t path factorizes no n; a scan passes a sieved table instead.
+    phi(n) is taken only when c > 0 or p divides t once, so at c = 0 the
+    p ∤ t path factorizes no n.
     """
     k = case.k
-    stripped = c * phi(n) if c else 0
+    stripped = c * euler_phi(n) if c else 0
 
     # p ∤ t. At p = 2, W_k = U_2k / U_k is P_4 (k = 2) or P_2 P_6 with P_2 = s odd
     if case.b == 0:
@@ -272,7 +270,34 @@ def _vp_atom_case(
         return stripped + case.a
     h = _power_exponent(n // 2, p) if n % 2 == 0 else 0
     lam = (case.lam or 0) if h == 1 else 0
-    return stripped + phi(n) // 2 + (1 if h else 0) + lam
+    return stripped + euler_phi(n) // 2 + (1 if h else 0) + lam
+
+
+def _closed_atom_valuations(p: int, params: LucasParams, horizon: int) -> array[int]:
+    """`_vp_atom_case` at 0 <= n <= horizon as one array('q'), entries 0 and 1
+    being 0, for a pair with no zero atom value and with no call per index:
+    c phi(n), plus phi(n)/2 where p | s' and p divides t' once, from one phi
+    sieve, then the terms at n = k p^h (p ∤ t') or at n = 2 and 2 p^h (p | s')."""
+    from array import array
+
+    c, case = _stripped(p, params)
+    q = 2 * c + (case.b == 1 and case.a != 0)  # (q phi(n)) // 2 = c phi(n) [+ phi(n) // 2]
+    vals = array("q", (q * v // 2 for v in _phi_sieve(horizon)) if q else bytes(8 * (horizon + 1)))
+    vals[1] = 0
+    if case.b == 0:  # v_p(U_k) at n = k, v_2(W_k) at n = 2k if p = 2, 1 at n = k p^h
+        k = n = case.k
+        extra = _vp(p, lucas_int(k, case.params))
+        while n <= horizon:
+            vals[n] += extra
+            n *= p
+            extra = _vp(2, companion_int(k, case.params)) if n == 2 * k else 1
+    elif case.a:  # a at n = 2; one more at n = 2p^h, and lambda more at n = 2p
+        vals[2] += case.a
+        n, extra = 2 * p, 1 + (case.lam or 0)
+        while n <= horizon:
+            vals[n] += extra
+            n, extra = n * p, 1
+    return vals
 
 
 def vp_atom_mobius(p: int, params: LucasParams, n: int) -> int:

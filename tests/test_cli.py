@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from lucasatoms import LucasParams, atom_eval, cli, companion_int, lucanomial, lucas_int
+from lucasatoms import LucasParams, atom_eval, cli, companion_int, holonomy, lucanomial, lucas_int
+from lucasatoms.exactpoly import LinearSolveResult
 
 
 def run_cli(capsys, *argv):
@@ -470,6 +471,29 @@ def test_fit_default_window_golden(capsys):
         capsys, "--json", "fit", "--s", "3", "--t", "1", "--order", "4", "--degree", "3"
     )
     assert (code, out, err) == (0, FIT_REFUTED_DEFAULT_WINDOW_GOLDEN, "")
+
+
+@pytest.mark.parametrize(
+    "perturb, reason",
+    [
+        (lambda y: (y[0] + 1, *y[1:]), "y.A = 0"),  # misses one row's column sums
+        (lambda y: tuple(0 * v for v in y), "y.b != 0"),  # annihilates A and b
+    ],
+)
+def test_fit_refutation_with_a_wrong_certificate_exits_3(capsys, monkeypatch, perturb, reason):
+    eliminate = holonomy._eliminate
+
+    def perturbed(system, n):
+        result = eliminate(system, n)
+        return LinearSolveResult(result.status, None, None, perturb(result.certificate))
+
+    monkeypatch.setattr(holonomy, "_eliminate", perturbed)
+    code, out, err = run_cli(
+        capsys, "--json", "fit", "--s", "1", "--t", "1", "--order", "2", "--degree", "2",
+        "--from", "10", "--to", "60",
+    )
+    assert (code, out) == (3, "")
+    assert reason in err
 
 
 def test_tzero_output(capsys):

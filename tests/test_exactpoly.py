@@ -356,17 +356,22 @@ def test_oracle_comparison_covers_every_status():
 
 @pytest.mark.parametrize("s, t", [(1, 5), (1, 6), (2, 2), (2, 3), (2, 4), (3, 1)])
 def test_solve_matches_fraction_oracle_on_fit_systems(monkeypatch, s, t):
+    # the rows the fitter's elimination draws, and what it returns on them
     systems = []
 
-    def spy(rows, rhs):
-        systems.append((rows, rhs))
-        return solve_rational(rows, rhs)
+    def spy(system, n):
+        drawn = []
+        result = eliminate((drawn.append(pair) or pair for pair in system), n)
+        systems.append(([row for row, _ in drawn], [b for _, b in drawn], result))
+        return result
 
-    monkeypatch.setattr(holonomy, "solve_rational", spy)
+    eliminate = holonomy._eliminate
+    monkeypatch.setattr(holonomy, "_eliminate", spy)
     for order in range(1, 5):
         for degree in range(4):
             n_end = 10 + 3 * (order + 1) * (degree + 1)  # the CLI's default window
             holonomy.fit_recurrence(LucasParams(s, t), order, degree, 10, n_end)
     assert len(systems) == 16
-    for rows, rhs in systems:
+    for rows, rhs, result in systems:
         _assert_same_result(rows, rhs)
+        assert result == _solve_fraction(rows, rhs)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lucasatoms import holonomy, numtheory
+from lucasatoms import cli, holonomy, numtheory
 from lucasatoms.atoms import atom_eval
+from lucasatoms.errors import InternalConsistencyError
 from lucasatoms.holonomy import (
     _atom_valuations,
     _eventually_periodic,
@@ -157,7 +158,7 @@ def test_scan_valuations_match_exact_loop():
     regimes = set()
     for p, params in _valuation_grid((2, 3, 5, 7, 11, 13, 31), range(-12, 13), (1, -1, 2, -3), 4, 8):
         regimes.add(classify(p, params).regime)
-        assert _atom_valuations(p, params, 200) == _atom_valuations_by_exact_loop(
+        assert list(_atom_valuations(p, params, 200)) == _atom_valuations_by_exact_loop(
             p, params, 200
         ), (p, params)
     assert regimes == set(Regime)
@@ -176,7 +177,7 @@ def test_scan_valuations_at_minimal_precision(monkeypatch):
     monkeypatch.setattr(holonomy, "_RESIDUE_BITS", 0)
     monkeypatch.setattr(holonomy, "_lucas_pair", spy)
     for p, params in _valuation_grid((2, 3, 5, 7), range(-6, 7), (1, -3), 3, 6):
-        assert _atom_valuations(p, params, 120) == _atom_valuations_by_exact_loop(
+        assert list(_atom_valuations(p, params, 120)) == _atom_valuations_by_exact_loop(
             p, params, 120
         ), (p, params)
     assert moduli and all(mod > 1 for mod in moduli)
@@ -211,16 +212,34 @@ def test_scan_shares_one_tuple_when_the_closed_forms_agree():
 
 def test_scan_keeps_the_closed_form_hits_apart_on_disagreement(monkeypatch):
     # a closed form that also claims index 7 must give its own expected tuple
-    case_fn = holonomy._vp_atom_case
+    build = holonomy._closed_atom_valuations
 
-    def claims_seven(p, c, case, n, phi):
-        return case_fn(p, c, case, n, phi) or n == 7
+    def claims_seven(p, params, horizon):
+        vals = build(p, params, horizon)
+        vals[7] = vals[7] or 1
+        return vals
 
-    monkeypatch.setattr(holonomy, "_vp_atom_case", claims_seven)
+    monkeypatch.setattr(holonomy, "_closed_atom_valuations", claims_seven)
     pattern = divisibility_scan(2, FIB, 200)
     assert not pattern.matches
     assert pattern.hit_indices == (3, 6, 12, 24, 48, 96, 192)
     assert pattern.expected == (3, 6, 7, 12, 24, 48, 96, 192)
+
+
+def test_scan_value_mismatch_on_equal_hit_sets_is_an_internal_error(monkeypatch):
+    # one more at the hit index 6 keeps the hit sets equal but not the values
+    build = holonomy._closed_atom_valuations
+
+    def one_more_at_six(p, params, horizon):
+        vals = build(p, params, horizon)
+        vals[6] += 1
+        return vals
+
+    monkeypatch.setattr(holonomy, "_closed_atom_valuations", one_more_at_six)
+    with pytest.raises(InternalConsistencyError, match="index 6: valuation 2, closed form 3"):
+        divisibility_scan(2, FIB, 200)
+    code = cli.main(["scan", "--p", "2", "--s", "1", "--t", "1", "--limit", "200"])
+    assert code == 3
 
 
 def test_scan_rejects_bad_inputs():
@@ -366,6 +385,19 @@ def test_fit_witness_is_first_rank_jump(s, t):
             for col in range(len(rows[0])):
                 assert sum(yi * r[col] for yi, r in zip(y, rows)) == 0
             assert sum(yi * b for yi, b in zip(y, rhs)) != 0
+
+
+def test_refuted_fit_evaluates_no_atom_past_the_witness(monkeypatch):
+    indices = []
+
+    def spy(n, params):
+        indices.append(n)
+        return atom_eval(n, params)
+
+    monkeypatch.setattr(holonomy, "atom_eval", spy)
+    fit = fit_recurrence(FIB, 2, 2, 10, 60)
+    assert fit.status == "refuted" and fit.witness_end == 19
+    assert sorted(indices) == list(range(8, 20))
 
 
 def test_fit_refutation_low_order():

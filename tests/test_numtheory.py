@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import pytest
 
@@ -76,9 +77,9 @@ def test_phi_divisor_sum_identity():
 
 
 def test_phi_sieve_matches_euler_phi():
-    assert _phi_sieve(0) == [0]
-    assert _phi_sieve(1) == [0, 1]
-    assert _phi_sieve(10000) == [0] + [euler_phi(n) for n in range(1, 10001)]
+    assert _phi_sieve(0) == array("q", [0])
+    assert _phi_sieve(1) == array("q", [0, 1])
+    assert _phi_sieve(10000) == array("q", [0] + [euler_phi(n) for n in range(1, 10001)])
 
 
 # -- mobius ----------------------------------------------------------------------

@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 from lucasatoms import numtheory, valuations
 from lucasatoms.atoms import atom_eval
 from lucasatoms.errors import InternalConsistencyError
-from lucasatoms.lucasfam import LucasParams, discriminant, lucas_int
+from lucasatoms.lucasfam import LucasParams, companion_int, discriminant, lucas_int
 from lucasatoms.numtheory import divisors, euler_phi, is_prime, legendre, mobius, vp_int
 from lucasatoms.valuations import (
     Regime,
+    _closed_atom_valuations,
+    _stripped,
+    _vp_atom_case,
     classify,
     lucas_value_is_zero,
     rank_of_appearance,
@@ -313,6 +316,36 @@ def test_closed_forms_do_not_retest_primality(monkeypatch):
     monkeypatch.setattr(valuations, "is_prime", counted)
     assert [f(1999, params, n) for f, params, n in calls] == expected
     assert primality_tests == []
+
+
+def test_closed_valuation_list_matches_the_case_function():
+    # s, t in [-12, 12] and the stripped grid s = u p^a, t = v p^b; the list
+    # must also reach p = 2's index 2k and lambda at 2p in the p | s regimes
+    horizon = 300
+    regimes, reached = set(), set()
+    for p in (2, 3, 5, 7, 11, 13):
+        pairs = {(s, t) for s in range(-12, 13) for t in range(-12, 13)}
+        pairs |= {
+            (u * p**a, v * p**b)
+            for a in range(4)
+            for b in range(7)
+            for u in (1, -1, 2, -3)
+            for v in (1, -1, 2, -3)
+        }
+        for s, t in sorted(pairs):
+            params = LucasParams(s, t)
+            if t == 0 or zero_atom_indices(params):
+                continue
+            c, case = _stripped(p, params)
+            want = [0, 0] + [_vp_atom_case(p, c, case, n) for n in range(2, horizon + 1)]
+            assert list(_closed_atom_valuations(p, params, horizon)) == want, (p, s, t)
+            regimes.add(classify(p, params).regime)
+            if p == 2 and case.b == 0 and vp_int(2, companion_int(case.k, case.params)) != 1:
+                reached.add("2k")  # where v_2(W_k) differs from the generic term 1
+            if case.b == 1 and case.a and case.lam:
+                reached.add("lambda")
+    assert regimes == set(Regime)
+    assert reached == {"2k", "lambda"}
 
 
 def test_vp_atom_degenerate_rejected():
