@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
+from math import log10, prod
 
-from .atoms import atom, decompose_ratio, lucanomial, prime_search
+from .atoms import atom, atom_eval, decompose_ratio, lucanomial, prime_search
 from .errors import InternalConsistencyError
 from .holonomy import divisibility_scan, fit_recurrence, t_zero_profile
-from .lucasfam import LucasParams, companion_poly, cyclotomic, lucas_poly
-from .numtheory import DETERMINISTIC_PRIMALITY_BOUND
+from .lucasfam import LucasParams, companion_int, companion_poly, cyclotomic, lucas_int, lucas_poly
+from .numtheory import DETERMINISTIC_PRIMALITY_BOUND, _phi_sieve
 from .valuations import (
     classify,
     rank_of_appearance,
@@ -107,16 +109,18 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
 
 def _poly_result(
-    payload: dict, poly, eval_at: list[int] | None, head: tuple[str, ...] = ()
+    payload: dict, poly, eval_at: list[int] | None, value_at=None, head: tuple[str, ...] = ()
 ) -> tuple[dict, list[str], list[str]]:
     """The result of a command that prints one polynomial after the lines in
-    head; under --eval, also the value of that polynomial at (S, T)."""
+    head; under --eval, also its value at (S, T), checked by a second route, value_at."""
     text = str(poly)
     payload["polynomial"] = text
     lines = [*head, text]
     if eval_at is not None:
         s0, t0 = eval_at
         value = poly.eval(s0, t0)
+        if value != value_at(LucasParams(s0, t0)):
+            raise InternalConsistencyError(f"--eval at s={s0}, t={t0}: a second route disagrees")
         payload["eval"] = {"s": s0, "t": t0, "value": value}
         lines.append(f"at s={s0}, t={t0}: {value}")
     return payload, lines, []
@@ -124,12 +128,14 @@ def _poly_result(
 
 def _run_atom(args) -> tuple[dict, list[str], list[str]]:
     route = _ROUTE_ALIASES[args.route]
-    return _poly_result({"n": args.n, "route": route}, atom(args.n, route), args.eval_at)
+    value_at = partial(atom_eval, args.n)
+    return _poly_result({"n": args.n, "route": route}, atom(args.n, route), args.eval_at, value_at)
 
 
 def _run_family(args) -> tuple[dict, list[str], list[str]]:
-    poly = (lucas_poly if args.command == "lucas" else companion_poly)(args.n)
-    return _poly_result({"n": args.n}, poly, args.eval_at)
+    lucas = args.command == "lucas"
+    poly, value_at = (lucas_poly, lucas_int) if lucas else (companion_poly, companion_int)
+    return _poly_result({"n": args.n}, poly(args.n), args.eval_at, partial(value_at, args.n))
 
 
 def _run_cyclotomic(args) -> tuple[dict, list[str], list[str]]:
@@ -162,7 +168,8 @@ def _run_lucanomial(args) -> tuple[dict, list[str], list[str]]:
     exponents, poly = lucanomial(args.n, args.k)
     payload = {"n": args.n, "k": args.k, "exponents": {str(d): e for d, e in exponents.items()}}
     head = ("exponents: " + (" ".join(f"{d}^{e}" for d, e in exponents.items()) or "1"),)
-    return _poly_result(payload, poly, args.eval_at, head)
+    value_at = lambda p: prod(atom_eval(d, p) ** e for d, e in exponents.items())  # noqa: E731
+    return _poly_result(payload, poly, args.eval_at, value_at, head)
 
 
 def _run_val(args) -> tuple[dict, list[str], list[str]]:
@@ -301,7 +308,18 @@ def _run_fit(args) -> tuple[dict, list[str], list[str]]:
     return payload, lines, []
 
 
+# The most characters `tzero` may print, text or JSON. It counts at most
+# phi(n) log10|s| + 1 digits and a sign for s^phi(n), N's digits for n, six
+# separators per entry and 130 for the JSON envelope with s and N in it twice.
+_TZERO_BOUND = 10**6
+
+
 def _run_tzero(args) -> tuple[dict, list[str], list[str]]:
+    size = 130 + 2 * len(str(args.s)) + (args.limit + 2) * (len(str(args.limit)) + 8)
+    if size <= _TZERO_BOUND and args.limit > 1 and abs(args.s) > 1:
+        size += (sum(_phi_sieve(args.limit)) - 1) * log10(abs(args.s))
+    if size > _TZERO_BOUND:
+        raise ValueError(f"tzero could print over {_TZERO_BOUND:.0e} characters")
     profile = t_zero_profile(args.s, args.limit)
     payload = {"s": args.s, "limit": args.limit, "values": [[n, v] for n, v in profile]}
     return payload, [f"{n} {v}" for n, v in profile], []

@@ -502,6 +502,35 @@ def test_tzero_output(capsys):
     assert out.splitlines() == ["1 1", "2 2", "3 4", "4 4", "5 16", "6 4", "7 64", "8 16"]
 
 
+def test_tzero_over_the_output_bound_exits_1(capsys):
+    # about 1.4e9 digits; the bound is checked before any value is built
+    code, out, err = run_cli(capsys, "tzero", "--s", "3", "--limit", "100000")
+    assert (code, out) == (1, "")
+    assert err == "error: tzero could print over 1e+06 characters\n"
+    # one line per index counts too, so no phi sieve runs for a huge limit
+    code, out, err = run_cli(capsys, "--json", "tzero", "--s", "1", "--limit", str(10**12))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: tzero could print over")
+
+
+def test_tzero_bound_rejects_only_outputs_over_it(capsys):
+    # 2584 is the largest limit the bound admits at s = 3; both outputs fit in it
+    bound = cli._TZERO_BOUND
+    code, out, _ = run_cli(capsys, "tzero", "--s", "3", "--limit", "2584")
+    assert code == 0 and len(out) <= bound
+    assert out.splitlines()[-1] == f"2584 {3 ** 1152}"
+    code, out, _ = run_cli(capsys, "--json", "tzero", "--s", "3", "--limit", "2584")
+    assert code == 0 and len(out) <= bound
+    assert json.loads(out)["result"]["values"][-1] == [2584, 3**1152]
+    code, out, _ = run_cli(capsys, "tzero", "--s", "3", "--limit", "2585")
+    assert (code, out) == (1, "")
+    code, out, _ = run_cli(capsys, "tzero", "--s", "3", "--limit", "2700")
+    assert (code, out) == (1, "")
+    with no_digit_limit():
+        printed = sum(len(f"{n} {v}\n") for n, v in holonomy.t_zero_profile(3, 2700))
+    assert printed > bound
+
+
 def test_primesearch_output(capsys):
     code, out, _ = run_cli(capsys, "--json", "primesearch", "6", "--bound", "2")
     assert code == 0
@@ -554,6 +583,25 @@ def test_eval_matches_the_integer_routes(capsys, argv, value_fn):
         code, out, err = run_cli(capsys, "--json", *argv, *point)
         assert (code, err) == (0, "")
         assert json.loads(out)["result"]["eval"] == {"s": s0, "t": t0, "value": expected}
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["atom", "12"], "atom_eval"),
+        (["atom", "30", "--route", "red"], "atom_eval"),
+        (["lucas", "7"], "lucas_int"),
+        (["companion", "7"], "companion_int"),
+        (["lucanomial", "8", "4"], "atom_eval"),
+    ],
+)
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_eval_second_route_disagreement_exits_3(capsys, monkeypatch, argv, name, mode):
+    route = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda n, params: route(n, params) + 1)
+    code, out, err = run_cli(capsys, *mode, *argv, "--eval", "2", "3")
+    assert (code, out) == (3, "")
+    assert "--eval at s=2, t=3: a second route disagrees" in err
 
 
 def test_module_entry_point():

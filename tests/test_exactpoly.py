@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lucasatoms import LucasParams, holonomy
+from lucasatoms import LucasParams, exactpoly, holonomy
 from lucasatoms.exactpoly import (
     BiPoly,
     LinearSolveResult,
@@ -352,6 +354,76 @@ def test_oracle_comparison_covers_every_status():
         [[Fraction(1, 2), 1], [0, 0], [1, 2]], [1, 0, Fraction(5, 3)]
     ) == "inconsistent"
     assert _assert_same_result([[0, 0]], [7]) == "inconsistent"
+
+
+_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=20)
+
+
+@st.composite
+def _fraction_systems(draw):
+    """Systems of Fraction entries, so each row has its own scale; half end in
+    a combination of the rows with a shifted rhs, which makes them inconsistent."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_fractions, min_size=n, max_size=n), min_size=1, max_size=5))
+    rhs = draw(st.lists(_fractions, min_size=len(rows), max_size=len(rows)))
+    if draw(st.booleans()):
+        ks = draw(st.lists(_fractions, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(k * row[j] for k, row in zip(ks, rows)) for j in range(n)])
+        rhs.append(sum(k * b for k, b in zip(ks, rhs)) + draw(_fractions.filter(bool)))
+    return rows, rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fraction_systems())
+def test_solve_with_fraction_entries_matches_fraction_oracle(system):
+    _assert_same_result(*system)
+
+
+def test_certificate_unwinding_rescales_where_g_does_not_divide_c(monkeypatch):
+    # Row 1 reduces against row 0 to 2*[0, 1 | 0], row 2 to [0, 0 | 0] (dropped)
+    # and row 3 against row 1 to 2*[0, 0 | 1]; each content g = 2 is divided out.
+    # Undoing those steps meets g = 2 with coefficient c = 1 twice, once on the
+    # witness row and once on pivot row 1, so the relation is scaled twice.
+    rows, rhs = [[-1, 1], [1, -3], [0, 1], [0, -1]], [0, 0, 0, 2]
+    rescales = []  # (c mod g, g) at each scaling: the unwinding calls gcd nowhere else
+    unwind = exactpoly._unwind
+
+    def spy(*args):
+        rescales.append(args)
+        return gcd(*args)
+
+    def unwind_with_spy(entries):
+        monkeypatch.setattr(exactpoly, "gcd", spy)
+        try:
+            return unwind(entries)
+        finally:
+            monkeypatch.setattr(exactpoly, "gcd", gcd)
+
+    monkeypatch.setattr(exactpoly, "_unwind", unwind_with_spy)
+    result = exactpoly._eliminate(zip(rows, rhs), 2)
+    assert rescales == [(1, 2), (1, 2)]
+    assert result == _solve_fraction(rows, rhs)
+    assert result.certificate == (Fraction(-1, 2), Fraction(-1, 2), 0, 1)
+    assert _assert_same_result(rows, rhs) == "inconsistent"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems())
+def test_fraction_unwinding_matches_fraction_oracle(system):
+    with patch.object(exactpoly, "_FRACTION_UNWIND_PIVOTS", 0):
+        _assert_same_result(*system)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_fraction_and_integer_unwinding_give_one_certificate(monkeypatch, k):
+    # the fitter's system at order = degree = k has (k + 1)^2 pivots: 9, 25 and 49
+    fits = []
+    for pivots in (0, 10**6):  # every coefficient a Fraction, then none
+        monkeypatch.setattr(exactpoly, "_FRACTION_UNWIND_PIVOTS", pivots)
+        n_end = k + 1 + 2 * (k + 1) ** 2 + 20
+        fits.append(holonomy.fit_recurrence(LucasParams(1, 1), k, k, k + 1, n_end))
+    assert fits[0].status == "refuted"
+    assert fits[0] == fits[1]
 
 
 @pytest.mark.parametrize("s, t", [(1, 5), (1, 6), (2, 2), (2, 3), (2, 4), (3, 1)])
