@@ -14,7 +14,7 @@ from math import log10, prod
 
 from .atoms import atom, atom_eval, decompose_ratio, lucanomial, prime_search
 from .errors import InternalConsistencyError
-from .holonomy import divisibility_scan, fit_recurrence, t_zero_profile
+from .holonomy import _t_zero_profile, divisibility_scan, fit_recurrence, t_zero_profile
 from .lucasfam import LucasParams, companion_int, companion_poly, cyclotomic, lucas_int, lucas_poly
 from .numtheory import DETERMINISTIC_PRIMALITY_BOUND, _phi_sieve
 from .valuations import (
@@ -169,7 +169,19 @@ def _run_lucanomial(args) -> tuple[dict, list[str], list[str]]:
     payload = {"n": args.n, "k": args.k, "exponents": {str(d): e for d, e in exponents.items()}}
     head = ("exponents: " + (" ".join(f"{d}^{e}" for d, e in exponents.items()) or "1"),)
     value_at = lambda p: prod(atom_eval(d, p) ** e for d, e in exponents.items())  # noqa: E731
-    return _poly_result(payload, poly, args.eval_at, value_at, head)
+    result = _poly_result(payload, poly, args.eval_at, value_at, head)
+    if args.eval_at is not None:  # also prod_{i <= k} U_{n-k+i} / U_i, through no atom
+        s0, t0 = args.eval_at
+        params = LucasParams(s0, t0)
+        den = prod(lucas_int(i, params) for i in range(1, args.k + 1))
+        if den:  # no U_i is 0
+            num = prod(lucas_int(args.n - args.k + i, params) for i in range(1, args.k + 1))
+            if divmod(num, den) != (payload["eval"]["value"], 0):
+                how = "is not exact" if num % den else "disagrees"
+                raise InternalConsistencyError(
+                    f"--eval at s={s0}, t={t0}: the quotient of Lucas values {how}"
+                )
+    return result
 
 
 def _run_val(args) -> tuple[dict, list[str], list[str]]:
@@ -316,11 +328,13 @@ _TZERO_BOUND = 10**6
 
 def _run_tzero(args) -> tuple[dict, list[str], list[str]]:
     size = 130 + 2 * len(str(args.s)) + (args.limit + 2) * (len(str(args.limit)) + 8)
-    if size <= _TZERO_BOUND and args.limit > 1 and abs(args.s) > 1:
-        size += (sum(_phi_sieve(args.limit)) - 1) * log10(abs(args.s))
+    # one phi sieve serves the bound and the profile
+    phi = _phi_sieve(args.limit) if size <= _TZERO_BOUND and args.limit > 0 else None
+    if phi is not None and abs(args.s) > 1:
+        size += (sum(phi) - 1) * log10(abs(args.s))
     if size > _TZERO_BOUND:
         raise ValueError(f"tzero could print over {_TZERO_BOUND:.0e} characters")
-    profile = t_zero_profile(args.s, args.limit)
+    profile = t_zero_profile(args.s, args.limit) if phi is None else _t_zero_profile(args.s, phi)
     payload = {"s": args.s, "limit": args.limit, "values": [[n, v] for n, v in profile]}
     return payload, [f"{n} {v}" for n, v in profile], []
 

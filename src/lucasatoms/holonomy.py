@@ -35,9 +35,9 @@ from typing import TYPE_CHECKING
 from .atoms import atom, atom_eval
 from .errors import InternalConsistencyError
 from .exactpoly import BiPoly, _eliminate, _Record
-from .lucasfam import LucasParams, _lucas_pair
-from .numtheory import _mobius_invert, _vp, euler_phi, is_prime
-from .valuations import _closed_atom_valuations, _stripped, zero_atom_indices
+from .lucasfam import LucasParams
+from .numtheory import _mobius_invert, _phi_sieve, euler_phi, is_prime
+from .valuations import _closed_atom_valuations, _deep_valuation, _pair_table, zero_atom_indices
 
 if TYPE_CHECKING:
     from array import array
@@ -82,8 +82,8 @@ def _atom_valuations(p: int, params: LucasParams, horizon: int) -> array[int]:
     """array('q') of v_p(P_n(s, t)) at index n for 0 <= n <= horizon (entries 0 and 1 are 0).
 
     By weighted homogeneity v_p(U_n(s, t)) = c (n - 1) + v_p(U_n(s', t')) for
-    the stripped pair of `_stripped`. When p divides t' once and p | s', the
-    loop runs V_n = U_n(s', t') / p^floor((n-1)/2) instead, an integer sequence
+    the stripped pair of `valuations._pair_table`. When p divides t' once and
+    p | s', the loop runs V_n = U_n(s', t') / p^floor((n-1)/2) instead, an integer sequence
     with V_n = (s'/p) V_{n-1} + (t'/p) V_{n-2} at odd n and
     s' V_{n-1} + (t'/p) V_{n-2} at even n; else V_n = U_n(s', t'). Either way
     v_p(V_n) stays small, so N steps mod p^K give it exactly wherever the
@@ -96,7 +96,7 @@ def _atom_valuations(p: int, params: LucasParams, horizon: int) -> array[int]:
     """
     from array import array
 
-    c, case = _stripped(p, params)
+    c, case, *_ = _pair_table(p, params)
     s, t = case.params
     halve = case.b == 1 and case.a != 0
     k = 1
@@ -137,16 +137,6 @@ def _atom_valuations(p: int, params: LucasParams, horizon: int) -> array[int]:
         if v:
             vals[2 * d :: d] = array("q", [u - v for u in vals[2 * d :: d]])
     return vals
-
-
-def _deep_valuation(p: int, params: LucasParams, n: int, shift: int, k: int) -> int:
-    """v_p(U_n / p^shift) for p^shift | U_n != 0, from U_n mod p^(shift + k) by
-    the doubling kernel, with k doubled until the residue is nonzero."""
-    while True:
-        r = _lucas_pair(n, params, p ** (shift + k))[0] // p**shift
-        if r:
-            return _vp(p, r)
-        k *= 2
 
 
 def _eventually_periodic(indicator: Sequence[int], horizon: int) -> bool:
@@ -337,9 +327,14 @@ def t_zero_profile(s: int, horizon: int) -> list[tuple[int, int]]:
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    out = [(1, 1)] + [
-        (n, s ** euler_phi(n)) for n in range(2, horizon + 1)
-    ]
+    return _t_zero_profile(s, _phi_sieve(horizon))
+
+
+def _t_zero_profile(s: int, phi: Sequence[int]) -> list[tuple[int, int]]:
+    """`t_zero_profile` to the horizon len(phi) - 1 >= 1, with every phi(n)
+    read from the sieve phi = `numtheory._phi_sieve(horizon)`."""
+    horizon = len(phi) - 1
+    out = [(1, 1)] + [(n, s ** phi[n]) for n in range(2, horizon + 1)]
     for n in range(2, min(horizon, _T_ZERO_CHECK_LIMIT) + 1):
         _check_t_zero(n)
     return out

@@ -20,7 +20,12 @@ the reduced pair has one of three closed forms:
       2 or 3; v_p(U_{2m+1}) = m and v_p(U_{2m}) = m + (a - 1) + v_p(m),
       plus lambda there when p | m.
 
-A Mobius route recomputes v_p(P_n) as sum_{d | n} mu(d) v_p(U_{n/d}), and a
+Every closed form reads one table per (p, s, t), built once and cached: c,
+the stripped case, and v_p(U_k) and (p = 2) v_2(W_k) of the stripped pair,
+taken from U_k mod p^K (W_k mod 2^K) with K doubled from 2 until the residue
+is nonzero, never from the exact value; a large-p valuation thus costs about
+one rank walk. A Mobius route recomputes v_p(P_n) as
+sum_{d | n} mu(d) v_p(U_{n/d}) from the same table, read once, and a
 brute-force oracle takes the valuation of the exact integer atom value. An
 atom value is zero only at indices 2, 3, 4, 6 (for t != 0). The closed forms
 and the oracle reject just an index whose value is zero, with a "valuation of
@@ -36,7 +41,7 @@ from typing import TYPE_CHECKING
 from .atoms import atom_eval
 from .errors import InternalConsistencyError
 from .exactpoly import _Record
-from .lucasfam import LucasParams, companion_int, discriminant, lucas_int
+from .lucasfam import LucasParams, _lucas_pair, discriminant
 from .numtheory import _phi_sieve, _vp, divisors, euler_phi, is_prime, legendre, mobius, vp_int
 
 if TYPE_CHECKING:
@@ -126,7 +131,8 @@ def zero_atom_indices(params: LucasParams) -> frozenset[int]:
 
 def lucas_value_is_zero(n: int, params: LucasParams) -> bool:
     """True iff U_n(s, t) = 0 for n >= 1 (t != 0)."""
-    return any(n % z == 0 for z in zero_atom_indices(params))
+    zeros = zero_atom_indices(params)
+    return bool(zeros) and any(n % z == 0 for z in zeros)
 
 
 @cache
@@ -194,31 +200,64 @@ def classify(p: int, params: LucasParams) -> ValuationCase:
 
 
 @cache
-def _stripped(p: int, params: LucasParams) -> tuple[int, ValuationCase]:
-    """(c, the case of (s/p^c, t/p^2c)) for the largest c with p^c | s and p^2c | t,
-    after which p ∤ t, p ∤ s, or p divides t once. Cached: each closed-form call looks it up."""
+def _pair_table(p: int, params: LucasParams) -> tuple[int, ValuationCase, int | None, int | None]:
+    """(c, case, v_p(U_k), v_2(W_k)), the per-pair constants every closed form
+    reads: the largest c with p^c | s and p^2c | t (after which p ∤ t, p ∤ s,
+    or p divides t once), the case of (s/p^c, t/p^2c) and, where p ∤ t/p^2c,
+    v_p(U_k) and (p = 2) v_2(W_k) of that pair from residues, None where the
+    value is zero or not used. Cached per (p, params)."""
     case = classify(p, params)
     c = case.b // 2 if case.a is None else min(case.a, case.b // 2)
-    if c == 0:
-        return 0, case
-    q = p**c
-    return c, classify(p, LucasParams(params.s // q, params.t // q**2))
+    if c:
+        q = p**c
+        case = classify(p, LucasParams(params.s // q, params.t // q**2))
+    vu = vw = None
+    if case.b == 0:  # U_n(s, t) = p^(c (n - 1)) U_n(s/p^c, t/p^2c): the same zeros
+        k = case.k
+        if not lucas_value_is_zero(k, params):
+            vu = _deep_valuation(p, case.params, k)
+        # W_k = U_2k / U_k where U_k != 0, else 2 alpha^k != 0
+        if p == 2 and (vu is None or not lucas_value_is_zero(2 * k, params)):
+            vw = _deep_valuation(2, case.params, k, companion=True)
+    return c, case, vu, vw
+
+
+def _deep_valuation(
+    p: int, params: LucasParams, n: int, shift: int = 0, k: int = 2, companion: bool = False
+) -> int:
+    """v_p(X_n / p^shift) for X = U, or W = 2 U_{n+1} - s U_n when companion,
+    and p^shift | X_n != 0, from X_n mod p^(shift + k) by the doubling kernel,
+    with k doubled until the residue is nonzero."""
+    while True:
+        mod = p ** (shift + k)
+        u0, u1 = _lucas_pair(n, params, mod)
+        r = (2 * u1 - params.s * u0) % mod if companion else u0
+        if r:
+            return _vp(p, r) - shift
+        k *= 2
 
 
 def vp_lucas_closed(p: int, params: LucasParams, n: int) -> int:
     """v_p(U_n(s, t)) by the closed forms: c (n - 1) plus the reduced pair's case."""
     if n < 1:
         raise ValueError("index must be positive")
-    c, case = _stripped(p, params)
+    table = _pair_table(p, params)
     if lucas_value_is_zero(n, params):
         raise ValueError(f"valuation of zero: U_{n}({params.s}, {params.t}) = 0")
+    return _vp_lucas_case(p, table, n)
+
+
+def _vp_lucas_case(p: int, table: tuple, n: int) -> int:
+    """v_p(U_n) for the pair table of `_pair_table` and a nonzero U_n."""
+    c, case, vu, vw = table
     k = case.k
 
     if case.b == 0:  # p ∤ t: the rank formula, at p = 2 restarted at index 2k
         if n % k:
             return c * (n - 1)
-        start = 2 * k if p == 2 and n % (2 * k) == 0 else k
-        return c * (n - 1) + _vp(p, lucas_int(start, case.params)) + _vp(p, n // start)
+        if p == 2 and n % (2 * k) == 0:
+            return c * (n - 1) + vu + vw + _vp(2, n // (2 * k))
+        return c * (n - 1) + vu + _vp(p, n // k)
     if case.a == 0:
         return c * (n - 1)  # U_n = s^(n-1) mod p
 
@@ -240,27 +279,28 @@ def vp_atom_closed(p: int, params: LucasParams, n: int) -> int:
     """v_p(P_n(s, t)) by the closed forms: c phi(n) plus the reduced pair's case."""
     if n < 2:
         raise ValueError("index must be at least 2")
-    c, case = _stripped(p, params)
+    table = _pair_table(p, params)
     if n in zero_atom_indices(params):
         raise ValueError(f"valuation of zero: P_{n}({params.s}, {params.t}) = 0")
-    return _vp_atom_case(p, c, case, n)
+    return _vp_atom_case(p, table, n)
 
 
-def _vp_atom_case(p: int, c: int, case: ValuationCase, n: int) -> int:
-    """v_p(P_n) for the stripped pair (c, case) of `_stripped` and a nonzero P_n.
+def _vp_atom_case(p: int, table: tuple, n: int) -> int:
+    """v_p(P_n) for the pair table of `_pair_table` and a nonzero P_n.
 
     phi(n) is taken only when c > 0 or p divides t once, so at c = 0 the
     p ∤ t path factorizes no n.
     """
+    c, case, vu, vw = table
     k = case.k
     stripped = c * euler_phi(n) if c else 0
 
     # p ∤ t. At p = 2, W_k = U_2k / U_k is P_4 (k = 2) or P_2 P_6 with P_2 = s odd
     if case.b == 0:
         if n == k:
-            return stripped + _vp(p, lucas_int(k, case.params))
+            return stripped + vu
         if p == 2 and n == 2 * k:
-            return stripped + _vp(2, companion_int(k, case.params))
+            return stripped + vw
         return stripped + (1 if n % k == 0 and _power_exponent(n // k, p) else 0)
     if case.a == 0:
         return stripped
@@ -280,17 +320,16 @@ def _closed_atom_valuations(p: int, params: LucasParams, horizon: int) -> array[
     sieve, then the terms at n = k p^h (p ∤ t') or at n = 2 and 2 p^h (p | s')."""
     from array import array
 
-    c, case = _stripped(p, params)
+    c, case, vu, vw = _pair_table(p, params)
     q = 2 * c + (case.b == 1 and case.a != 0)  # (q phi(n)) // 2 = c phi(n) [+ phi(n) // 2]
     vals = array("q", (q * v // 2 for v in _phi_sieve(horizon)) if q else bytes(8 * (horizon + 1)))
     vals[1] = 0
     if case.b == 0:  # v_p(U_k) at n = k, v_2(W_k) at n = 2k if p = 2, 1 at n = k p^h
-        k = n = case.k
-        extra = _vp(p, lucas_int(k, case.params))
+        n, extra = case.k, vu
         while n <= horizon:
             vals[n] += extra
             n *= p
-            extra = _vp(2, companion_int(k, case.params)) if n == 2 * k else 1
+            extra = vw if n == 2 * case.k else 1
     elif case.a:  # a at n = 2; one more at n = 2p^h, and lambda more at n = 2p
         vals[2] += case.a
         n, extra = 2 * p, 1 + (case.lam or 0)
@@ -304,14 +343,15 @@ def vp_atom_mobius(p: int, params: LucasParams, n: int) -> int:
     """v_p(P_n) as the Mobius transform sum_{d | n} mu(d) v_p(U_{n/d})."""
     if n < 2:
         raise ValueError("index must be at least 2")
-    zero = min((z for z in zero_atom_indices(params) if n % z == 0), default=None)
-    if zero is not None:
+    if lucas_value_is_zero(n, params):
+        zero = min(z for z in zero_atom_indices(params) if n % z == 0)
         raise ValueError(f"valuation of zero: U_{zero}({params.s}, {params.t}) = 0")
+    table = _pair_table(p, params)
     total = 0
     for d in divisors(n):
         mu = mobius(d)
         if mu:
-            total += mu * vp_lucas_closed(p, params, n // d)
+            total += mu * _vp_lucas_case(p, table, n // d)
     if total < 0:
         raise InternalConsistencyError(
             f"negative atom valuation from the Mobius sum at index {n}"

@@ -8,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from lucasatoms import LucasParams, atom_eval, cli, companion_int, holonomy, lucanomial, lucas_int
+from lucasatoms import (
+    LucasParams,
+    atom_eval,
+    cli,
+    companion_int,
+    holonomy,
+    lucanomial,
+    lucas_int,
+    numtheory,
+)
 from lucasatoms.exactpoly import LinearSolveResult
 
 
@@ -531,6 +540,23 @@ def test_tzero_bound_rejects_only_outputs_over_it(capsys):
     assert printed > bound
 
 
+def test_tzero_builds_one_phi_sieve(capsys, monkeypatch):
+    # the output bound and the profile share the CLI's sieve
+    sieves = []
+
+    def counted(n):
+        sieves.append(n)
+        return numtheory._phi_sieve(n)
+
+    monkeypatch.setattr(cli, "_phi_sieve", counted)
+    monkeypatch.setattr(holonomy, "_phi_sieve", counted)
+    code, out, _ = run_cli(capsys, "tzero", "--s", "2", "--limit", "8")
+    assert code == 0 and out.splitlines()[-1] == "8 16"
+    assert sieves == [8]
+    code, _, err = run_cli(capsys, "tzero", "--s", "2", "--limit", "0")
+    assert (code, err) == (1, "error: horizon must be at least 1\n")
+
+
 def test_primesearch_output(capsys):
     code, out, _ = run_cli(capsys, "--json", "primesearch", "6", "--bound", "2")
     assert code == 0
@@ -602,6 +628,33 @@ def test_eval_second_route_disagreement_exits_3(capsys, monkeypatch, argv, name,
     code, out, err = run_cli(capsys, *mode, *argv, "--eval", "2", "3")
     assert (code, out) == (3, "")
     assert "--eval at s=2, t=3: a second route disagrees" in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "stub, reason",
+    [
+        # U_1..U_4 are the denominators of (8 over 4), U_5..U_8 the numerators
+        (lambda route: lambda n, params: 2 if n <= 4 else 1, "is not exact"),
+        (lambda route: lambda n, params: route(n, params) * (1 if n <= 4 else 2), "disagrees"),
+    ],
+    ids=["inexact", "unequal"],
+)
+def test_lucanomial_eval_lucas_quotient_exits_3(capsys, monkeypatch, mode, stub, reason):
+    monkeypatch.setattr(cli, "lucas_int", stub(cli.lucas_int))
+    code, out, err = run_cli(capsys, *mode, "lucanomial", "8", "4", "--eval", "2", "3")
+    assert (code, out) == (3, "")
+    assert f"--eval at s=2, t=3: the quotient of Lucas values {reason}" in err
+
+
+def test_lucanomial_eval_skips_the_lucas_quotient_at_a_zero_denominator(capsys, monkeypatch):
+    # U_2(0, 1) = 0, so only the atom product P_4 P_5 = 2 checks the value
+    calls = []
+    route = cli.lucas_int
+    monkeypatch.setattr(cli, "lucas_int", lambda n, params: calls.append(n) or route(n, params))
+    code, out, _ = run_cli(capsys, "lucanomial", "5", "2", "--eval", "0", "1")
+    assert code == 0 and out.splitlines()[-1] == "at s=0, t=1: 2"
+    assert calls == [1, 2]
 
 
 def test_module_entry_point():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lucasatoms import cli, holonomy, numtheory
+from lucasatoms import cli, holonomy, numtheory, valuations
 from lucasatoms.atoms import atom_eval
 from lucasatoms.errors import InternalConsistencyError
 from lucasatoms.holonomy import (
@@ -20,6 +20,7 @@ from lucasatoms.lucasfam import LucasParams, cyclotomic
 from lucasatoms.numtheory import euler_phi
 from lucasatoms.valuations import (
     Regime,
+    _pair_table,
     classify,
     vp_atom_oracle,
     zero_atom_indices,
@@ -173,10 +174,13 @@ def test_scan_valuations_at_minimal_precision(monkeypatch):
         moduli.append(mod)
         return lucas_pair(n, params, mod)
 
-    lucas_pair = holonomy._lucas_pair
+    grid = list(_valuation_grid((2, 3, 5, 7), range(-6, 7), (1, -3), 3, 6))
+    for p, params in grid + [(3, LucasParams(-9, -6))]:
+        _pair_table(p, params)  # the per-pair residues are taken before the spy
+    lucas_pair = valuations._lucas_pair
     monkeypatch.setattr(holonomy, "_RESIDUE_BITS", 0)
-    monkeypatch.setattr(holonomy, "_lucas_pair", spy)
-    for p, params in _valuation_grid((2, 3, 5, 7), range(-6, 7), (1, -3), 3, 6):
+    monkeypatch.setattr(valuations, "_lucas_pair", spy)
+    for p, params in grid:
         assert list(_atom_valuations(p, params, 120)) == _atom_valuations_by_exact_loop(
             p, params, 120
         ), (p, params)
@@ -433,3 +437,11 @@ def test_t_zero_profile_examples():
     ]
     with pytest.raises(ValueError):
         t_zero_profile(2, 0)
+
+
+def test_t_zero_profile_reads_phi_from_one_sieve():
+    # the sieve's phi(n) against the cached euler_phi per index, to N = 2000
+    for s in (-3, -1, 0, 1, 2, 5):
+        for horizon in (1, 2, 3, 30, 2000):
+            want = [(1, 1)] + [(n, s ** euler_phi(n)) for n in range(2, horizon + 1)]
+            assert t_zero_profile(s, horizon) == want, (s, horizon)

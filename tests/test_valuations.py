@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lucasatoms import numtheory, valuations
+from lucasatoms import lucasfam, numtheory, valuations
 from lucasatoms.atoms import atom_eval
 from lucasatoms.errors import InternalConsistencyError
 from lucasatoms.lucasfam import LucasParams, companion_int, discriminant, lucas_int
@@ -10,7 +10,7 @@ from lucasatoms.numtheory import divisors, euler_phi, is_prime, legendre, mobius
 from lucasatoms.valuations import (
     Regime,
     _closed_atom_valuations,
-    _stripped,
+    _pair_table,
     _vp_atom_case,
     classify,
     lucas_value_is_zero,
@@ -336,8 +336,9 @@ def test_closed_valuation_list_matches_the_case_function():
             params = LucasParams(s, t)
             if t == 0 or zero_atom_indices(params):
                 continue
-            c, case = _stripped(p, params)
-            want = [0, 0] + [_vp_atom_case(p, c, case, n) for n in range(2, horizon + 1)]
+            table = _pair_table(p, params)
+            case = table[1]
+            want = [0, 0] + [_vp_atom_case(p, table, n) for n in range(2, horizon + 1)]
             assert list(_closed_atom_valuations(p, params, horizon)) == want, (p, s, t)
             regimes.add(classify(p, params).regime)
             if p == 2 and case.b == 0 and vp_int(2, companion_int(case.k, case.params)) != 1:
@@ -461,3 +462,124 @@ def test_unstripped_coprime_t_closed_form_factorizes_no_index():
     after = numtheory.factorize.cache_info()
     assert got == expected
     assert after.hits + after.misses == before.hits + before.misses
+
+
+# -- the pair table against the code it replaced ---------------------------------------
+
+def stripped_by_classify(p, params):
+    """(c, the case of (s/p^c, t/p^2c)): the stripped pair as the closed forms
+    read it before the pair table."""
+    case = classify(p, params)
+    c = case.b // 2 if case.a is None else min(case.a, case.b // 2)
+    if c == 0:
+        return 0, case
+    q = p**c
+    return c, classify(p, LucasParams(params.s // q, params.t // q**2))
+
+
+def vp_lucas_by_exact_value(p, params, n):
+    """v_p(U_n) by the closed forms, reading v_p(U_k) and v_2(U_2k) off the
+    exact integers: the U valuation the pair table replaced."""
+    if n < 1:
+        raise ValueError("index must be positive")
+    c, case = stripped_by_classify(p, params)
+    if lucas_value_is_zero(n, params):
+        raise ValueError(f"valuation of zero: U_{n}({params.s}, {params.t}) = 0")
+    k = case.k
+    if case.b == 0:
+        if n % k:
+            return c * (n - 1)
+        start = 2 * k if p == 2 and n % (2 * k) == 0 else k
+        return c * (n - 1) + vp_int(p, lucas_int(start, case.params)) + vp_int(p, n // start)
+    if case.a == 0:
+        return c * (n - 1)
+    m, r = divmod(n, 2)
+    if r:
+        return c * (n - 1) + m
+    lam = (case.lam or 0) if m % p == 0 else 0
+    return c * (n - 1) + m + (case.a - 1) + vp_int(p, m) + lam
+
+
+def mobius_per_divisor(params, n, vp_lucas):
+    """The Mobius route before the pair table: after a zero U_z with z | n is
+    rejected, one vp_lucas(m) per m = n/d over the squarefree divisors d of n."""
+    zero = min((z for z in zero_atom_indices(params) if n % z == 0), default=None)
+    if zero is not None:
+        raise ValueError(f"valuation of zero: U_{zero}({params.s}, {params.t}) = 0")
+    return sum(mobius(d) * vp_lucas(n // d) for d in divisors(n) if mobius(d))
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_pair_table_matches_the_exact_value_oracles():
+    # every regime of p <= 13 over s, t in [-12, 12] and the stripped grid,
+    # degenerate pairs (t = 0 and zero values) included, at n <= 300
+    horizon = 300
+    regimes = set()
+    for p in (2, 3, 5, 7, 11, 13):
+        pairs = {(s, t) for s in range(-12, 13) for t in range(-12, 13)}
+        pairs |= {
+            (u * p**a, v * p**b)
+            for a in range(4)
+            for b in range(7)
+            for u in (1, -1, 2, -3)
+            for v in (1, -1, 2, -3)
+        }
+        for s, t in sorted(pairs):
+            params = LucasParams(s, t)
+            got = [outcome(vp_lucas_closed, p, params, n) for n in range(horizon + 1)]
+            want = [outcome(vp_lucas_by_exact_value, p, params, n) for n in range(horizon + 1)]
+            assert got == want, (p, s, t)
+            if t == 0:  # the Mobius route's first error is its own zero check, not classify's
+                continue
+            got = [outcome(vp_atom_mobius, p, params, n) for n in range(2, horizon + 1)]
+            want = [
+                outcome(mobius_per_divisor, params, n, want.__getitem__)
+                for n in range(2, horizon + 1)
+            ]
+            assert got == want, (p, s, t)
+            regimes.add(classify(p, params).regime)
+            _, case, vu, vw = _pair_table(p, params)
+            if case.b == 0:  # v_p(U_k) and v_2(W_k) of the stripped pair, None where zero
+                u, w = lucas_int(case.k, case.params), companion_int(case.k, case.params)
+                assert vu == (vp_int(p, u) if u else None), (p, s, t)
+                assert vw == (vp_int(2, w) if p == 2 and w else None), (p, s, t)
+            else:
+                assert vu is vw is None, (p, s, t)
+    assert regimes == set(Regime)
+
+
+def test_closed_valuations_build_no_exact_value_at_large_p(monkeypatch):
+    # v_p(U_rho) and the index 1000004 = rho come from residues mod p^K alone
+    p, n = 1000003, 1000004
+
+    def small_only(f):
+        def stub(m, *args):
+            if m > 1000:
+                raise AssertionError(f"exact value at index {m}")
+            return f(m, *args)
+
+        return stub
+
+    def residues_only(m, params, mod=0):
+        if m > 1000 and not mod:
+            raise AssertionError(f"exact value at index {m}")
+        return lucas_pair(m, params, mod)
+
+    lucas_pair = valuations._lucas_pair
+    for module in (lucasfam, valuations):
+        for name in ("lucas_int", "companion_int"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, small_only(getattr(module, name)))
+    monkeypatch.setattr(valuations, "_lucas_pair", residues_only)
+    _pair_table.cache_clear()
+    assert vp_lucas_closed(p, FIB, n) == 1
+    assert vp_atom_closed(p, FIB, n) == 1
+    assert vp_atom_mobius(p, FIB, n) == 1
+    _pair_table.cache_clear()  # drop the entry built under the stub
