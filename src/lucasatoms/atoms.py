@@ -2,30 +2,16 @@
 
 U_n(s, t) = prod_{d | n} P_d(s, t), with P_1 = 1 and, for n >= 2, P_n the
 cyclotomic polynomial of index n homogenized in the root pair (alpha, beta)
-of X^2 - sX - t and rewritten in s = alpha + beta, t = -alpha*beta.
-
-Three independent construction routes are provided and cross-checked:
-
-* symmetric -- purely additive: with m = phi(n) and palindromic cyclotomic
-  coefficients c_0..c_m, P_n = sum_{j < m/2} c_j (-t)^j W_{m-2j} plus, for m
-  even, the middle term c_{m/2} (-t)^{m/2}, where W_k = alpha^k + beta^k.
-  For squarefree n the sum is evaluated once at (s, t) = (1, 2^K), where
-  each W step and each Horner step in t is one shift and add of a big
-  integer; since every monomial has weight m, the value is sum_j a_j 2^(Kj)
-  for the atom's weight list a_j, read back as balanced base-2^K digits.
-  K is at least 2 bits wider than |a_j| <= ||c||_1 W_m(1, 1), so the
-  digits are exact. A non-squarefree n has Phi_n spread to q^(n/rad n),
-  so most c_j are 0: the stream would still take all m steps, while the
-  per-row loop builds the closed-form rows W_{m-2j} for c_j != 0 only.
-* division -- peel P_n out of U_n by exact division by the atoms of the
-  proper divisors of n.
-* reduction -- lift the index by the largest prime p | n: the substitution
-  (alpha, beta) -> (alpha^p, beta^p), i.e. (s, t) -> (W_p, -(-t)^p), turns
-  P_{n/p} into P_n, after exact division by P_{n/p} when p does not divide
-  n/p.
-
-Every atom with n >= 2 is weighted-homogeneous (each monomial s^i t^j has
+of X^2 - sX - t and rewritten in s = alpha + beta, t = -alpha*beta. Every
+atom with n >= 2 is weighted-homogeneous (each monomial s^i t^j has
 i + 2j = phi(n)), monic in s, and has nonnegative coefficients.
+
+Three independent routes build P_n: symmetric (additive, from the cyclotomic
+coefficients and W_k = alpha^k + beta^k), division (U_n divided exactly by
+the atoms of the proper divisors) and reduction (one index lift by the
+largest prime p | n). The "checked" route cross-checks all three, and
+`atom_eval` gives the integer P_n(s, t) with no polynomial. README's atoms
+paragraph derives the routes and gives their measurements.
 """
 
 from __future__ import annotations
@@ -218,8 +204,6 @@ def atom(n: int, route: str = "checked") -> BiPoly:
     on any disagreement."""
     if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-    if n < 1:
-        raise ValueError("index must be positive")
     return _BUILDERS[route](n)
 
 
@@ -227,27 +211,26 @@ def atom_eval(n: int, params: LucasParams) -> int:
     """Exact integer P_n(s, t) by the symmetric formula over integer W_k values:
     Horner in -t from j = m/2 down to 0 while W_{m-2j} streams upwards.
 
-    Only the W_k of m's parity enter the sum, so the stream steps by two,
-    W_{k+2} = W_2 W_k - t^2 W_{k-2} with W_2 = s^2 + 2t, from W_0 = 2 and
-    W_2 (m even, the middle term taking W_0 as 1) or W_1 = s and W_3 (m odd):
-    m/2 steps, each one W step and one Horner step."""
+    m = phi(n) is even from n = 3 on (P_2 = s), so only the even-index W_k
+    enter the sum, and the stream steps by two, W_{k+2} = W_2 W_k - t^2 W_{k-2}
+    with W_2 = s^2 + 2t, from W_0 = 2 and W_2, the middle term taking W_0 as
+    1: m/2 steps, each one W step and one Horner step."""
     if n < 1:
         raise ValueError("index must be positive")
     if n == 1:
         return 1
+    if n == 2:
+        return params.s
     m = euler_phi(n)
     c = cyclotomic(n).coeffs
     s, t = params.s, params.t
     w2, tt = s * s + 2 * t, t * t
     h = m // 2
-    if m % 2:
-        total, w_prev, w = c[h] * s, s, s * (w2 + t)  # c_h W_1; W_1, W_3
-    else:
-        total, w_prev, w = c[h], 2, w2  # the middle term; W_0, W_2
+    total, w_prev, w = c[h], 2, w2  # the middle term; W_0, W_2
     for j in range(h - 1, 0, -1):  # w is W_{m-2j}
         total = c[j] * w - t * total
         w_prev, w = w, w2 * w - tt * w_prev
-    return c[0] * w - t * total if h else total
+    return c[0] * w - t * total
 
 
 class AtomDecomposition(_Record):

@@ -49,46 +49,6 @@ def _required_ints(*names: str) -> list[tuple[tuple[str, ...], dict]]:
 _N = (("n",), {"type": int})
 _EVAL = (("--eval",), {"dest": "eval_at", "nargs": 2, "type": int, "metavar": ("S", "T")})
 
-# Each subcommand's help text and its arguments, as add_argument's (args, kwargs).
-_COMMANDS = {
-    "atom": (
-        "Lucas atom P_N",
-        [_N, (("--route",), {"choices": sorted(_ROUTE_ALIASES), "default": "checked"}), _EVAL],
-    ),
-    "lucas": ("Lucas polynomial U_N", [_N, _EVAL]),
-    "companion": ("companion polynomial W_N", [_N, _EVAL]),
-    "cyclotomic": ("cyclotomic polynomial of index N", [_N]),
-    "decompose": (
-        "polynomiality of a Lucas-product ratio",
-        [
-            (("--num",), {"type": _int_list, "required": True, "metavar": "A,B,..."}),
-            (("--den",), {"type": _int_list, "default": [], "metavar": "C,D,..."}),
-        ],
-    ),
-    "lucanomial": ("Lucas binomial analogue (N over K)", [_N, (("k",), {"type": int}), _EVAL]),
-    "val": (
-        "p-adic valuation of an atom value",
-        [
-            *_required_ints("p", "s", "t", "n"),
-            (("--method",), {"choices": ("closed", "mobius", "oracle", "all"), "default": "all"}),
-        ],
-    ),
-    "rank": ("rank of appearance", _required_ints("p", "s", "t")),
-    "classify": ("valuation regime", _required_ints("p", "s", "t")),
-    "scan": ("divisibility pattern of p | P_n", _required_ints("p", "s", "t", "limit")),
-    "fit": (
-        "fit or refute a polynomial recurrence",
-        [
-            *_required_ints("s", "t", "order", "degree"),
-            (("--from",), {"dest": "n_from", "type": int, "default": None}),
-            (("--to",), {"dest": "n_to", "type": int, "default": None}),
-        ],
-    ),
-    "tzero": ("the t = 0 profile s^phi(n)", _required_ints("s", "limit")),
-    "primesearch": ("prime atom values on a grid", [_N, *_required_ints("bound")]),
-}
-
-
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The parser for argv. Every subcommand is registered with its help text,
     but only the one that argv's first non-option token names gets its
@@ -100,7 +60,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a JSON envelope")
     sub = parser.add_subparsers(dest="command", required=True)
     named = next((token for token in argv or () if not token.startswith("-")), None)
-    for name, (help_text, arguments) in _COMMANDS.items():
+    for name, (help_text, arguments, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if named not in _COMMANDS or named == name:
             for args, kwargs in arguments:
@@ -186,14 +146,12 @@ def _run_lucanomial(args) -> tuple[dict, list[str], list[str]]:
 
 def _run_val(args) -> tuple[dict, list[str], list[str]]:
     params = LucasParams(args.s, args.t)
-    methods = (
-        ("closed", "mobius", "oracle") if args.method == "all" else (args.method,)
-    )
     fns = {
         "closed": vp_atom_closed,
         "mobius": vp_atom_mobius,
         "oracle": vp_atom_oracle,
     }
+    methods = tuple(fns) if args.method == "all" else (args.method,)
     values, warnings = {}, []
     for name in methods:
         try:
@@ -352,21 +310,52 @@ def _run_primesearch(args) -> tuple[dict, list[str], list[str]]:
     return payload, [f"{s} {t} {value}" for s, t, value in results], warnings
 
 
-_HANDLERS = {
-    "atom": _run_atom,
-    "lucas": _run_family,
-    "companion": _run_family,
-    "cyclotomic": _run_cyclotomic,
-    "decompose": _run_decompose,
-    "lucanomial": _run_lucanomial,
-    "val": _run_val,
-    "rank": _run_rank,
-    "classify": _run_classify,
-    "scan": _run_scan,
-    "fit": _run_fit,
-    "tzero": _run_tzero,
-    "primesearch": _run_primesearch,
+# Each subcommand's help text, its arguments as add_argument's (args, kwargs),
+# and the handler that runs it.
+_COMMANDS = {
+    "atom": (
+        "Lucas atom P_N",
+        [_N, (("--route",), {"choices": sorted(_ROUTE_ALIASES), "default": "checked"}), _EVAL],
+        _run_atom,
+    ),
+    "lucas": ("Lucas polynomial U_N", [_N, _EVAL], _run_family),
+    "companion": ("companion polynomial W_N", [_N, _EVAL], _run_family),
+    "cyclotomic": ("cyclotomic polynomial of index N", [_N], _run_cyclotomic),
+    "decompose": (
+        "polynomiality of a Lucas-product ratio",
+        [
+            (("--num",), {"type": _int_list, "required": True, "metavar": "A,B,..."}),
+            (("--den",), {"type": _int_list, "default": [], "metavar": "C,D,..."}),
+        ],
+        _run_decompose,
+    ),
+    "lucanomial": ("Lucas binomial analogue (N over K)", [_N, (("k",), {"type": int}), _EVAL], _run_lucanomial),
+    "val": (
+        "p-adic valuation of an atom value",
+        [
+            *_required_ints("p", "s", "t", "n"),
+            (("--method",), {"choices": ("closed", "mobius", "oracle", "all"), "default": "all"}),
+        ],
+        _run_val,
+    ),
+    "rank": ("rank of appearance", _required_ints("p", "s", "t"), _run_rank),
+    "classify": ("valuation regime", _required_ints("p", "s", "t"), _run_classify),
+    "scan": ("divisibility pattern of p | P_n", _required_ints("p", "s", "t", "limit"), _run_scan),
+    "fit": (
+        "fit or refute a polynomial recurrence",
+        [
+            *_required_ints("s", "t", "order", "degree"),
+            (("--from",), {"dest": "n_from", "type": int, "default": None}),
+            (("--to",), {"dest": "n_to", "type": int, "default": None}),
+        ],
+        _run_fit,
+    ),
+    "tzero": ("the t = 0 profile s^phi(n)", _required_ints("s", "limit"), _run_tzero),
+    "primesearch": ("prime atom values on a grid", [_N, *_required_ints("bound")], _run_primesearch),
 }
+# The handler of each subcommand, for the benchmark's self-test, which lists the
+# subcommands from it; dispatch reads _COMMANDS.
+_HANDLERS = {name: handler for name, (_, _, handler) in _COMMANDS.items()}
 
 
 def _inputs_echo(args: argparse.Namespace) -> dict:
@@ -394,7 +383,7 @@ def _run(argv: list[str] | None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        payload, lines, warnings = _HANDLERS[args.command](args)
+        payload, lines, warnings = _COMMANDS[args.command][2](args)
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return 3

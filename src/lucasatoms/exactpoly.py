@@ -3,32 +3,17 @@
 BiPoly is a polynomial in s and t graded by weight: the store maps each weight
 w = i + 2j of its monomials s^i t^j to a dense list whose entry j is the
 coefficient of s^(w-2j) t^j, with no trailing zeros and no empty weights, so
-equal polynomials have equal stores. U_n, W_n and every atom are one list.
-UniPoly only carries the coefficient tuple c_0..c_m of a cyclotomic polynomial
-in q, nonzero top coefficient, and prints it. Both are immutable by convention
-and print in a fixed canonical text form that doubles as the equality witness
-in golden tests.
-
-_mul_lists is the one product kernel: schoolbook while the shorter list has
-fewer than _KRONECKER_CUTOFF entries, above that Kronecker substitution, with
-each list packed into one decimal integer and multiplied by libmpdec's
-number-theoretic transform. exact_div_in_s takes a divisor of one weight
-whose list starts with 1 (monic in s) and divides each weight list of f by it
-as power series; every entry of f - q*g past the quotient must be 0, so a
-nonzero remainder always raises. The schoolbook and division kernels each
-allocate one fresh list and update it in place, one entry at a time; they
-never write to their inputs, whose lists BiPoly stores and caches share.
-
-solve_rational is exact row-by-row elimination over integers, with the
-content of each reduced row and its rhs divided out. No row combination is
-carried: each row records its steps, and the certificate is recovered once
-by undoing them from the witness row back (_unwind; in Fractions from 50
-pivots on). Its last nonzero entry is the first row whose prefix is
-inconsistent, and that entry is 1. Its core, _eliminate, takes integer rows
-from an iterable and stops at that row, so a caller can build rows on demand.
-
-_Record is the base of the library's immutable result records. decimal and
-fractions load on first use, so a call that needs neither never imports them.
+equal polynomials have equal stores. UniPoly only carries and prints the
+coefficient tuple of a cyclotomic polynomial in q. Both are immutable by
+convention and print in a fixed canonical text form, the golden-test
+contract. No kernel writes to its input lists, which BiPoly stores and the
+caches share. exact_div_in_s raises ValueError on a divisor that is not of
+one weight and monic in s, and on a nonzero remainder. solve_rational is
+exact elimination; a certificate's last nonzero entry is 1, at the first row
+whose prefix is inconsistent. Its core, _eliminate, draws rows from an
+iterable and stops at that row. _Record is the base of the library's
+immutable result records. README's exactpoly paragraph gives the product,
+division and elimination algorithms and their measurements.
 """
 
 from __future__ import annotations

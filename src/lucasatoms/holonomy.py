@@ -1,27 +1,17 @@
 """Holonomy evidence at desk scale: divisibility-pattern scans and exact
 refutation of hypothesized polynomial recurrences for atom sequences.
 
-For fixed integers (s, t) with t != 0, the indices n with p | P_n(s, t) form
-geometric families like {k p^h}. The scan divides p^c out of (s, t), after
-which v_p(U_n) stays small (Lucas's law of repetition), reads it off residues
-mod p^K with p^K about 2^64, and takes v_p(P_n) from it by Mobius inversion:
-O(N) word-sized recurrence steps and at most O(N log N) sieve steps, with no
-exact U_n and no cyclotomic. It compares every v_p(P_n) with the closed forms,
-built as one list from a phi sieve: unequal hit sets give matches=False, and
-an unequal value with equal hit sets raises InternalConsistencyError. It also
-decides in O(N) whether the hit indicator is eventually periodic up to the
-horizon. That shows the closed forms describe the valuations; it does not
-show that no recurrence exists, since a P-recursive sequence can have a hit
-set that is not eventually periodic (the Catalan numbers are odd exactly at
-n = 2^k - 1).
-
-The fitter builds the exact linear system for candidate (order, degree)
-pairs and returns either a validated fit or the minimal inconsistent window
-prefix with a certificate, checked to give y A = 0 and y b != 0. It builds
-each row, and the atom value it adds, only when the elimination draws it, so
-a refutation stops at the witness row. A refutation rules out recurrences
+`divisibility_scan` reads every v_p(P_n(s, t)) up to the horizon off residues
+of the recurrence mod p^K, with no exact U_n, and compares it with the
+closed forms: unequal hit sets give matches=False, and an unequal value with
+equal hit sets raises InternalConsistencyError. It also says whether the hit
+indicator is eventually periodic up to the horizon, which shows nothing about
+holonomy. `fit_recurrence` returns a validated fit, or the minimal
+inconsistent window prefix with a certificate checked to give y A = 0 and
+y b != 0. A refutation rules out recurrences
 P_n = G_0(n) + sum_j G_j(n) P_{n-j} with G_j in Q[n] of that order and
-degree, for the one (s, t) and over the finite window given.
+degree, for the one (s, t) and over the finite window given. README's
+holonomy paragraph derives the scan and gives its measurements.
 """
 
 from __future__ import annotations
@@ -81,30 +71,28 @@ _RESIDUE_BITS = 64
 def _atom_valuations(p: int, params: LucasParams, horizon: int) -> array[int]:
     """array('q') of v_p(P_n(s, t)) at index n for 0 <= n <= horizon (entries 0 and 1 are 0).
 
-    By weighted homogeneity v_p(U_n(s, t)) = c (n - 1) + v_p(U_n(s', t')) for
-    the stripped pair of `valuations._pair_table`. When p divides t' once and
-    p | s', the loop runs V_n = U_n(s', t') / p^floor((n-1)/2) instead, an integer sequence
-    with V_n = (s'/p) V_{n-1} + (t'/p) V_{n-2} at odd n and
-    s' V_{n-1} + (t'/p) V_{n-2} at even n; else V_n = U_n(s', t'). Either way
-    v_p(V_n) stays small, so N steps mod p^K give it exactly wherever the
-    residue is nonzero; a zero residue is resolved by `_deep_valuation`. The
-    atom valuations are the Mobius inversion of v_p(U_n) = sum_{d | n} v_p(P_d),
-    which `_mobius_invert` computes for any list in about N log log N steps.
-    With no shift (c = 0 and no halving) few entries are nonzero, and
-    subtracting each nonzero v_p(P_d) from the multiples of d is faster.
-    Needs U_n != 0.
+    By weighted homogeneity v_p(U_n(s, t)) = (q (n - 1)) // 2 + v_p(V_n) for
+    q of `valuations._pair_table` and V_n = U_n(s', t') of the stripped pair,
+    divided by p^floor((n-1)/2) when q is odd (p | s' and p divides t' once).
+    V_n steps by (s', t'/p) at even n and by (s'/p, t'/p) at odd n when q is
+    odd, else by (s', t'). Either way v_p(V_n) stays small, so N steps mod p^K
+    give it exactly wherever the residue is nonzero; a zero residue is
+    resolved by `_deep_valuation`. The atom valuations are the Mobius
+    inversion of v_p(U_n) = sum_{d | n} v_p(P_d), which `_mobius_invert`
+    computes for any list in about N log log N steps. With q = 0 few entries
+    are nonzero, and subtracting each nonzero v_p(P_d) from the multiples of
+    d is faster. Needs U_n != 0.
     """
     from array import array
 
-    c, case, *_ = _pair_table(p, params)
+    q, case, *_ = _pair_table(p, params)
+    halve = q % 2
     s, t = case.params
-    halve = case.b == 1 and case.a != 0
+    s_odd, t = (s // p, t // p) if halve else (s, t)
     k = 1
     while p ** (k + 1) <= 1 << _RESIDUE_BITS:
         k += 1
     mod = p**k
-    # start from the shift c (n - 1) + floor((n - 1)/2 if halve) = (q (n - 1)) // 2
-    q = 2 * c + halve
     shift = (q * (n - 1) // 2 for n in range(horizon + 2))
     vals = array("q", shift if q else bytes(8 * horizon + 16))
     vals[0] = 0
@@ -115,21 +103,14 @@ def _atom_valuations(p: int, params: LucasParams, horizon: int) -> array[int]:
     # a nonzero residue y has v_p(y) < k, read off gcd(y, p^k) = p^v_p(y)
     exponent = {p**i: i for i in range(k)}
     x, y = 0, 1  # (V_{n-1}, V_n) mod p^k at n = 1
-    if halve:  # even n steps by (s', t'/p), odd n + 1 by (s'/p, t'/p)
-        s_odd, t = s // p, t // p
-        for n in range(2, horizon + 1, 2):
-            x, y = y, (s * y + t * x) % mod
-            if not y % p:
-                vals[n] += exponent[gcd(y, mod)] if y else deep(n)
-            x, y = y, (s_odd * y + t * x) % mod
-            if not y % p:
-                vals[n + 1] += exponent[gcd(y, mod)] if y else deep(n + 1)
-    else:
-        for n in range(2, horizon + 1):
-            x, y = y, (s * y + t * x) % mod
-            if not y % p:
-                vals[n] += exponent[gcd(y, mod)] if y else deep(n)
-    del vals[horizon + 1 :]  # the halving loop's last odd step may pass the horizon
+    for n in range(2, horizon + 1, 2):  # even n by (s, t), odd n + 1 by (s_odd, t)
+        x, y = y, (s * y + t * x) % mod
+        if not y % p:
+            vals[n] += exponent[gcd(y, mod)] if y else deep(n)
+        x, y = y, (s_odd * y + t * x) % mod
+        if not y % p:
+            vals[n + 1] += exponent[gcd(y, mod)] if y else deep(n + 1)
+    del vals[horizon + 1 :]  # the last odd step may pass the horizon
     if q:  # the shift makes the list dense
         return _mobius_invert(vals)
     for d in range(2, horizon // 2 + 1):  # it is sparse: subtract each v_p(P_d) from its multiples

@@ -1,35 +1,15 @@
 """p-adic valuations of Lucas sequences and Lucas atoms in closed form.
 
-Writing s = p^a s' and t = p^b t' with p ∤ s't' (a = infinity for s = 0),
-`classify` puts each prime p and pair (s, t) with t != 0 in one `Regime`. The
-closed forms first divide p^c, c = min(a, floor(b/2)) (floor(b/2) for s = 0),
-out of (s, t) by weighted homogeneity: U_n(λs, λ²t) = λ^(n-1) U_n(s, t) and
-P_n(λs, λ²t) = λ^phi(n) P_n(s, t). With k = rho(p, U) the rank of appearance,
-the first zero of U_n mod p (checked to divide p - (Delta/p) for odd p ∤ t),
-the reduced pair has one of three closed forms:
-
-  p ∤ t (k = p when p | Delta; k = 2 for even s, 3 for odd s at p = 2):
-      v_p(U_n) = 0 when k ∤ n, else v_p(U_k) + v_p(n/k), except that at
-      p = 2 with 2k | n it is v_2(U_2k) + v_2(n/2k);
-      v_p(P_n) = v_p(U_k) at n = k, v_2(W_k) at n = 2k when p = 2,
-      1 at n = k p^h with h >= 1, else 0.
-  p ∤ s, p | t: every valuation is 0.
-  p | s, b = 1 (s = 0 included):
-      v_p(P_n) = a at n = 2, phi(n)/2 + 1 at n = 2p^h with h >= 1, else
-      phi(n)/2, plus lambda = v_p(s'^2 + t') at n = 2p when a = 1 and p is
-      2 or 3; v_p(U_{2m+1}) = m and v_p(U_{2m}) = m + (a - 1) + v_p(m),
-      plus lambda there when p | m.
-
-Every closed form reads one table per (p, s, t), built once and cached: c,
-the stripped case, and v_p(U_k) and (p = 2) v_2(W_k) of the stripped pair,
-taken from U_k mod p^K (W_k mod 2^K) with K doubled from 2 until the residue
-is nonzero, never from the exact value; a large-p valuation thus costs about
-one rank walk. A Mobius route recomputes v_p(P_n) as
-sum_{d | n} mu(d) v_p(U_{n/d}) from the same table, read once, and a
-brute-force oracle takes the valuation of the exact integer atom value. An
-atom value is zero only at indices 2, 3, 4, 6 (for t != 0). The closed forms
-and the oracle reject just an index whose value is zero, with a "valuation of
-zero" error; the Mobius route rejects n when U_d = 0 for some d | n.
+`classify` puts each prime p and pair (s, t) with t != 0 in one `Regime`;
+`rank_of_appearance` gives the first zero of U_n mod p. `vp_lucas_closed` and
+`vp_atom_closed` give v_p(U_n) and v_p(P_n) by the closed forms, read from one
+cached table per (p, s, t) (`_pair_table`) that takes no exact U_n.
+`vp_atom_mobius` sums mu(d) v_p(U_{n/d}) over the squarefree d | n from the
+same table, and `vp_atom_oracle` takes the valuation of the exact atom value.
+An atom value is zero only at indices 2, 3, 4, 6 (for t != 0). The closed
+forms and the oracle reject just an index whose value is zero, with a
+"valuation of zero" error; the Mobius route rejects n when U_d = 0 for some
+d | n. README's valuations paragraph derives the closed forms.
 """
 
 from __future__ import annotations
@@ -42,7 +22,9 @@ from .atoms import atom_eval
 from .errors import InternalConsistencyError
 from .exactpoly import _Record
 from .lucasfam import LucasParams, _lucas_pair, discriminant
-from .numtheory import _phi_sieve, _vp, divisors, euler_phi, is_prime, legendre, mobius, vp_int
+from .numtheory import (
+    _phi_sieve, _vp, divisors, euler_phi, is_prime, legendre, mobius, radical, vp_int
+)
 
 if TYPE_CHECKING:
     from array import array
@@ -201,16 +183,17 @@ def classify(p: int, params: LucasParams) -> ValuationCase:
 
 @cache
 def _pair_table(p: int, params: LucasParams) -> tuple[int, ValuationCase, int | None, int | None]:
-    """(c, case, v_p(U_k), v_2(W_k)), the per-pair constants every closed form
-    reads: the largest c with p^c | s and p^2c | t (after which p ∤ t, p ∤ s,
-    or p divides t once), the case of (s/p^c, t/p^2c) and, where p ∤ t/p^2c,
-    v_p(U_k) and (p = 2) v_2(W_k) of that pair from residues, None where the
-    value is zero or not used. Cached per (p, params)."""
+    """(q, case, v_p(U_k), v_2(W_k)), the per-pair constants every closed form
+    reads. With c the largest integer with p^c | s and p^2c | t, the case is
+    that of the stripped pair (s/p^c, t/p^2c), in which p ∤ t, p ∤ s, or p
+    divides t once. q = 2c + 1 where p | s/p^c and p divides t/p^2c once, else
+    2c, so that v_p(U_n) starts from (q (n - 1)) // 2 and v_p(P_n) from
+    (q phi(n)) // 2. Where p ∤ t/p^2c, v_p(U_k) and (p = 2) v_2(W_k) of the
+    stripped pair come from residues, None where the value is zero or not
+    used. Cached per (p, params)."""
     case = classify(p, params)
     c = case.b // 2 if case.a is None else min(case.a, case.b // 2)
-    if c:
-        q = p**c
-        case = classify(p, LucasParams(params.s // q, params.t // q**2))
+    case = classify(p, LucasParams(params.s // p**c, params.t // p ** (2 * c)))
     vu = vw = None
     if case.b == 0:  # U_n(s, t) = p^(c (n - 1)) U_n(s/p^c, t/p^2c): the same zeros
         k = case.k
@@ -219,7 +202,7 @@ def _pair_table(p: int, params: LucasParams) -> tuple[int, ValuationCase, int | 
         # W_k = U_2k / U_k where U_k != 0, else 2 alpha^k != 0
         if p == 2 and (vu is None or not lucas_value_is_zero(2 * k, params)):
             vw = _deep_valuation(2, case.params, k, companion=True)
-    return c, case, vu, vw
+    return 2 * c + (case.b == 1 and case.a != 0), case, vu, vw
 
 
 def _deep_valuation(
@@ -238,7 +221,7 @@ def _deep_valuation(
 
 
 def vp_lucas_closed(p: int, params: LucasParams, n: int) -> int:
-    """v_p(U_n(s, t)) by the closed forms: c (n - 1) plus the reduced pair's case."""
+    """v_p(U_n(s, t)) by the closed forms: (q (n - 1)) // 2 plus the reduced pair's case."""
     if n < 1:
         raise ValueError("index must be positive")
     table = _pair_table(p, params)
@@ -249,24 +232,23 @@ def vp_lucas_closed(p: int, params: LucasParams, n: int) -> int:
 
 def _vp_lucas_case(p: int, table: tuple, n: int) -> int:
     """v_p(U_n) for the pair table of `_pair_table` and a nonzero U_n."""
-    c, case, vu, vw = table
+    q, case, vu, vw = table
     k = case.k
+    shift = q * (n - 1) // 2
 
     if case.b == 0:  # p ∤ t: the rank formula, at p = 2 restarted at index 2k
         if n % k:
-            return c * (n - 1)
+            return shift
         if p == 2 and n % (2 * k) == 0:
-            return c * (n - 1) + vu + vw + _vp(2, n // (2 * k))
-        return c * (n - 1) + vu + _vp(p, n // k)
-    if case.a == 0:
-        return c * (n - 1)  # U_n = s^(n-1) mod p
+            return shift + vu + vw + _vp(2, n // (2 * k))
+        return shift + vu + _vp(p, n // k)
+    if case.a == 0 or n % 2:
+        return shift  # U_n = s^(n-1) mod p, or v_p(U_{2m+1}) = m with p | s, p || t
 
-    # b = 1: v_p(U_{2m+1}) = m and v_p(U_{2m}) = m + (a - 1) + v_p(m) + lambda
-    m, r = divmod(n, 2)
-    if r:
-        return c * (n - 1) + m
+    # b = 1: v_p(U_{2m}) = c (n - 1) + m + (a - 1) + v_p(m) + lambda; the shift holds m - 1
+    m = n // 2
     lam = (case.lam or 0) if m % p == 0 else 0
-    return c * (n - 1) + m + (case.a - 1) + _vp(p, m) + lam
+    return shift + case.a + _vp(p, m) + lam
 
 
 def _power_exponent(x: int, p: int) -> int:
@@ -276,7 +258,7 @@ def _power_exponent(x: int, p: int) -> int:
 
 
 def vp_atom_closed(p: int, params: LucasParams, n: int) -> int:
-    """v_p(P_n(s, t)) by the closed forms: c phi(n) plus the reduced pair's case."""
+    """v_p(P_n(s, t)) by the closed forms: (q phi(n)) // 2 plus the reduced pair's case."""
     if n < 2:
         raise ValueError("index must be at least 2")
     table = _pair_table(p, params)
@@ -288,40 +270,39 @@ def vp_atom_closed(p: int, params: LucasParams, n: int) -> int:
 def _vp_atom_case(p: int, table: tuple, n: int) -> int:
     """v_p(P_n) for the pair table of `_pair_table` and a nonzero P_n.
 
-    phi(n) is taken only when c > 0 or p divides t once, so at c = 0 the
-    p ∤ t path factorizes no n.
+    phi(n) is taken only when q > 0, so at c = 0 the p ∤ t path factorizes
+    no n.
     """
-    c, case, vu, vw = table
+    q, case, vu, vw = table
     k = case.k
-    stripped = c * euler_phi(n) if c else 0
+    shift = q * euler_phi(n) // 2 if q else 0
 
     # p ∤ t. At p = 2, W_k = U_2k / U_k is P_4 (k = 2) or P_2 P_6 with P_2 = s odd
     if case.b == 0:
         if n == k:
-            return stripped + vu
+            return shift + vu
         if p == 2 and n == 2 * k:
-            return stripped + vw
-        return stripped + (1 if n % k == 0 and _power_exponent(n // k, p) else 0)
+            return shift + vw
+        return shift + (1 if n % k == 0 and _power_exponent(n // k, p) else 0)
     if case.a == 0:
-        return stripped
+        return shift
 
     # b = 1: a at n = 2; one more at n = 2p^h, and lambda more at n = 2p
     if n == 2:
-        return stripped + case.a
+        return shift + case.a
     h = _power_exponent(n // 2, p) if n % 2 == 0 else 0
     lam = (case.lam or 0) if h == 1 else 0
-    return stripped + euler_phi(n) // 2 + (1 if h else 0) + lam
+    return shift + (1 if h else 0) + lam
 
 
 def _closed_atom_valuations(p: int, params: LucasParams, horizon: int) -> array[int]:
     """`_vp_atom_case` at 0 <= n <= horizon as one array('q'), entries 0 and 1
     being 0, for a pair with no zero atom value and with no call per index:
-    c phi(n), plus phi(n)/2 where p | s' and p divides t' once, from one phi
-    sieve, then the terms at n = k p^h (p ∤ t') or at n = 2 and 2 p^h (p | s')."""
+    (q phi(n)) // 2 from one phi sieve, then the terms at n = k p^h (p ∤ t')
+    or at n = 2 and 2 p^h (p | s')."""
     from array import array
 
-    c, case, vu, vw = _pair_table(p, params)
-    q = 2 * c + (case.b == 1 and case.a != 0)  # (q phi(n)) // 2 = c phi(n) [+ phi(n) // 2]
+    q, case, vu, vw = _pair_table(p, params)
     vals = array("q", (q * v // 2 for v in _phi_sieve(horizon)) if q else bytes(8 * (horizon + 1)))
     vals[1] = 0
     if case.b == 0:  # v_p(U_k) at n = k, v_2(W_k) at n = 2k if p = 2, 1 at n = k p^h
@@ -340,7 +321,8 @@ def _closed_atom_valuations(p: int, params: LucasParams, horizon: int) -> array[
 
 
 def vp_atom_mobius(p: int, params: LucasParams, n: int) -> int:
-    """v_p(P_n) as the Mobius transform sum_{d | n} mu(d) v_p(U_{n/d})."""
+    """v_p(P_n) as the Mobius transform sum_{d | n} mu(d) v_p(U_{n/d}), over
+    the squarefree d, the divisors of rad(n)."""
     if n < 2:
         raise ValueError("index must be at least 2")
     if lucas_value_is_zero(n, params):
@@ -348,10 +330,8 @@ def vp_atom_mobius(p: int, params: LucasParams, n: int) -> int:
         raise ValueError(f"valuation of zero: U_{zero}({params.s}, {params.t}) = 0")
     table = _pair_table(p, params)
     total = 0
-    for d in divisors(n):
-        mu = mobius(d)
-        if mu:
-            total += mu * _vp_lucas_case(p, table, n // d)
+    for d in divisors(radical(n)):
+        total += mobius(d) * _vp_lucas_case(p, table, n // d)
     if total < 0:
         raise InternalConsistencyError(
             f"negative atom valuation from the Mobius sum at index {n}"

@@ -203,7 +203,7 @@ def test_help_and_usage_golden(capsys, monkeypatch, argv):
     assert run_cli(capsys, *argv.split()) == HELP_GOLDENS[argv]
 
 
-@pytest.mark.parametrize("name", list(cli._HANDLERS))
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
 def test_subcommand_help_matches_the_full_parser(capsys, monkeypatch, name):
     # a call builds only its subcommand's arguments; its text must not show it
     monkeypatch.setenv("COLUMNS", "80")

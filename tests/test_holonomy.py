@@ -156,12 +156,14 @@ def _valuation_grid(primes, small, units, max_a, max_b):
 def test_scan_valuations_match_exact_loop():
     # Every regime, stripped (c >= 1) pairs and the p || t, p | s pairs whose
     # loop runs U_n / p^floor((n-1)/2); the whole valuation list is compared.
+    # The loop takes two indices a step, so an even horizon ends one step past
+    # it; the exact list to 199 is the one to 200 without its last entry.
     regimes = set()
     for p, params in _valuation_grid((2, 3, 5, 7, 11, 13, 31), range(-12, 13), (1, -1, 2, -3), 4, 8):
         regimes.add(classify(p, params).regime)
-        assert list(_atom_valuations(p, params, 200)) == _atom_valuations_by_exact_loop(
-            p, params, 200
-        ), (p, params)
+        want = _atom_valuations_by_exact_loop(p, params, 200)
+        assert list(_atom_valuations(p, params, 200)) == want, (p, params)
+        assert list(_atom_valuations(p, params, 199)) == want[:200], (p, params)
     assert regimes == set(Regime)
 
 
@@ -181,9 +183,9 @@ def test_scan_valuations_at_minimal_precision(monkeypatch):
     monkeypatch.setattr(holonomy, "_RESIDUE_BITS", 0)
     monkeypatch.setattr(valuations, "_lucas_pair", spy)
     for p, params in grid:
-        assert list(_atom_valuations(p, params, 120)) == _atom_valuations_by_exact_loop(
-            p, params, 120
-        ), (p, params)
+        want = _atom_valuations_by_exact_loop(p, params, 120)
+        assert list(_atom_valuations(p, params, 120)) == want, (p, params)
+        assert list(_atom_valuations(p, params, 119)) == want[:120], (p, params)
     assert moduli and all(mod > 1 for mod in moduli)
     pattern = divisibility_scan(3, LucasParams(-9, -6), 200)
     assert pattern.matches and len(pattern.hit_indices) == 199

@@ -545,7 +545,11 @@ def test_pair_table_matches_the_exact_value_oracles():
             ]
             assert got == want, (p, s, t)
             regimes.add(classify(p, params).regime)
-            _, case, vu, vw = _pair_table(p, params)
+            q, case, vu, vw = _pair_table(p, params)
+            c, stripped = stripped_by_classify(p, params)
+            # the shift numerator: 2c, plus 1 where p | s' and p divides t' once
+            want_q = 2 * c + (stripped.b == 1 and stripped.a != 0)
+            assert (q, case) == (want_q, stripped), (p, s, t)
             if case.b == 0:  # v_p(U_k) and v_2(W_k) of the stripped pair, None where zero
                 u, w = lucas_int(case.k, case.params), companion_int(case.k, case.params)
                 assert vu == (vp_int(p, u) if u else None), (p, s, t)
