@@ -8,8 +8,8 @@ i + 2j = phi(n)), monic in s, and has nonnegative coefficients.
 
 Three independent routes build P_n: symmetric (additive, from the cyclotomic
 coefficients and W_k = alpha^k + beta^k), division (U_n divided exactly by
-the atoms of the proper divisors) and reduction (one index lift by the
-largest prime p | n). The "checked" route cross-checks all three, and
+the atoms of the proper divisors) and reduction (one index lift from a
+smaller atom). The "checked" route cross-checks all three, and
 `atom_eval` gives the integer P_n(s, t) with no polynomial. README's atoms
 paragraph derives the routes and gives their measurements.
 """
@@ -25,7 +25,6 @@ from .lucasfam import (
     LucasParams,
     _weight_row,
     companion_int,
-    companion_poly,
     cyclotomic,
     lucas_poly,
 )
@@ -84,12 +83,9 @@ def _unpack_balanced(value: int, width: int, count: int) -> list[int]:
 
 
 def _atom_weight_list(n: int) -> tuple[int, list[int]]:
-    """(phi(n), compact coefficients of P_n) by the additive symmetric formula.
-
-    For squarefree n, at (s, t) = (1, 2^K), W_k = W_{k-1} + (W_{k-2} << K)
-    and each Horner step in t shifts the total by K and adds
-    (-1)^j c_j W_{m-2j}; other n take the per-row loop.
-    """
+    """(phi(n), compact coefficients of P_n) by the additive symmetric formula:
+    packed into one integer at (s, t) = (1, 2^K) for squarefree n, row by row
+    otherwise."""
     m = euler_phi(n)
     c = cyclotomic(n).coeffs
     if n != radical(n):
@@ -113,15 +109,8 @@ def _atom_weight_list(n: int) -> tuple[int, list[int]]:
 
 @cache
 def atom_symmetric(n: int) -> BiPoly:
-    """P_n by the additive route from cyclotomic coefficients and W_k.
-
-    For squarefree n the sum sum_j c_j (-t)^j W_{m-2j} is evaluated as one
-    integer at (s, t) = (1, 2^K) by shifts and adds, and the weight list is
-    read back as its balanced base-2^K digits; K is at least 2 bits wider
-    than ||c||_1 W_m(1, 1), which bounds every coefficient, so the digits are
-    exact. Other n have a spread, mostly zero Phi_n and build the closed-form
-    rows W_{m-2j} with c_j != 0 only.
-    """
+    """P_n = sum_j c_j (-t)^j W_{m-2j}, m = phi(n), from the cyclotomic
+    coefficients c_j of Phi_n."""
     if n < 1:
         raise ValueError("index must be positive")
     if n == 1:
@@ -147,13 +136,34 @@ def atom_division(n: int) -> BiPoly:
     return poly
 
 
+def _lift(base: BiPoly, f: int) -> BiPoly:
+    """base(W_f, -(-t)^f) for a base of one weight w, monic in s.
+
+    At (alpha^f, beta^f), s^k = sum_i C(k, i) (-t)^(fi) W_{f(k-2i)}, so the
+    weight list c lifts to sum_l (-1)^(fl) e_l t^(fl) W_{f(w-2l)} with
+    e_l = sum_{j<=l} (-1)^j c_j C(w-2j, l-j): the symmetric sum over the
+    closed-form rows, with e spread to stride f.
+    """
+    w = next(base.terms())[0]
+    e = [0] * (w // 2 + 1)
+    for j in range(w // 2 + 1):
+        k, term = w - 2 * j, base.coeff(w - 2 * j, j) * (-1) ** j
+        for i in range(w // 2 - j + 1):  # term = (-1)^j c_j C(k, i)
+            e[j + i] += term
+            term = term * (k - i) // (i + 1)
+    spread = [0] * (f * w // 2 + 1)
+    spread[::f] = e
+    return BiPoly.from_weight_list(f * w, _weight_list_by_rows(f * w, spread))
+
+
 @cache
 def atom_reduction(n: int) -> BiPoly:
-    """P_n by one index lift from P_m, m = n/p for the largest prime p | n.
+    """P_n by one index lift from a smaller atom, (s, t) -> (W_f, -(-t)^f).
 
-    Raising the index by p is (alpha, beta) -> (alpha^p, beta^p), that is
-    (s, t) -> (W_p, -(-t)^p): P_n = P_m(W_p, -(-t)^p), divided exactly by
-    P_m when p does not divide m. Bases: P_1 = 1 and P_p = U_p.
+    For r = rad(n) != n, P_n = P_r lifted by f = n/r. For p the largest prime
+    dividing n once, P_n = P_{n/p} lifted by p and divided exactly by P_{n/p}.
+    Of the two, the base of smaller phi is taken, the radical on a tie.
+    Bases: P_1 = 1 and P_p = U_p.
     """
     if n < 1:
         raise ValueError("index must be positive")
@@ -161,14 +171,16 @@ def atom_reduction(n: int) -> BiPoly:
         return BiPoly.one()
     if is_prime(n):
         return lucas_poly(n)
-    p = factorize(n)[-1][0]
-    m = n // p
-    base = atom_reduction(m)
-    lifted = base.subs(companion_poly(p), BiPoly.monomial(0, p, 1 if p % 2 else -1))
-    if m % p == 0:
-        return lifted
+    r = radical(n)
+    once = [p for p, e in factorize(n) if e == 1]
+    # phi(r) = phi(n) r/n and phi(n/p) = phi(n)/(p - 1), so phi(r) <= phi(n/p)
+    # exactly when n/r >= p - 1
+    if r != n and (not once or n // r >= once[-1] - 1):
+        return _lift(atom_reduction(r), n // r)
+    p = once[-1]
+    base = atom_reduction(n // p)
     try:
-        return exact_div_in_s(lifted, base)
+        return exact_div_in_s(_lift(base, p), base)
     except ValueError as exc:
         raise InternalConsistencyError(
             f"inexact division in the reduction route at {n}: {exc}"

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from lucasatoms.atoms import (
     _atom_weight_list,
+    _lift,
     _unpack_balanced,
     _weight_list_by_rows,
     atom,
@@ -67,6 +68,9 @@ def test_atom_reduction_examples():
     assert atom_reduction(7) is lucas_poly(7)  # a prime index is its base case
 
 
+LARGE_LIFTS = (1024, 2187, 2956, 3072, 4620)
+
+
 def test_route_agreement_to_120():
     # plus sparse cyclotomic indices 343 * n', where few W rows are needed
     # and squarefree indices whose packed symmetric sums are large
@@ -74,6 +78,9 @@ def test_route_agreement_to_120():
         sym = atom_symmetric(n)
         assert sym == atom_division(n), n
         assert atom_reduction(n) == sym, n
+    # radical and once-prime lifts at sizes where the division route is slow
+    for n in LARGE_LIFTS:
+        assert atom_reduction(n) == atom_symmetric(n), n
 
 
 def test_packed_weight_list_matches_the_row_loop():
@@ -126,8 +133,44 @@ def test_reduction_route_never_calls_the_division_route(monkeypatch):
     monkeypatch.setattr(atoms_module, "atom_division", no_division)
     atoms_module.atom_reduction.cache_clear()
     try:
-        for n in [*range(1, 201), 343, 686, 1029, 1715, 2401]:
+        for n in [*range(1, 201), 343, 686, 1029, 1715, 2401, *LARGE_LIFTS]:
             assert atoms_module.atom_reduction(n) == atom_symmetric(n), n
+    finally:
+        atoms_module.atom_reduction.cache_clear()
+
+
+def test_lift_is_the_substitution():
+    for b in range(2, 41):
+        base = atom_symmetric(b)
+        for f in (2, 3, 4, 5, 6, 8, 9, 12, 13, 31):
+            t_value = BiPoly.monomial(0, f, 1 if f % 2 else -1)  # -(-t)^f
+            assert _lift(base, f) == base.subs(companion_poly(f), t_value), (b, f)
+
+
+@pytest.mark.parametrize(
+    "n, base, f",
+    [
+        (244, 4, 61),  # once-prime: phi(4) = 2 against phi(122) = 60
+        (243, 3, 81),  # a prime power has only its radical
+        (96, 6, 16),
+        (4620, 420, 11),
+        (3072, 6, 512),
+        (12, 6, 2),  # tie, phi(6) = phi(4): the radical, with no division
+        (40, 10, 4),  # tie, phi(10) = phi(8)
+        (30, 6, 5),  # squarefree: the largest prime
+    ],
+)
+def test_reduction_lifts_once_from_the_smaller_base(monkeypatch, n, base, f):
+    import lucasatoms.atoms as atoms_module
+
+    calls = []
+    monkeypatch.setattr(
+        atoms_module, "_lift", lambda poly, g: calls.append((poly, g)) or _lift(poly, g)
+    )
+    atoms_module.atom_reduction.cache_clear()
+    try:
+        assert atoms_module.atom_reduction(n) == atom_symmetric(n)
+        assert calls[-1] == (atom_symmetric(base), f)
     finally:
         atoms_module.atom_reduction.cache_clear()
 

@@ -41,6 +41,8 @@ def test_atom_route_and_eval(capsys):
     code, out, _ = run_cli(capsys, "atom", "8", "--route", "sym", "--eval", "2", "2")
     assert code == 0
     assert out == "s^4 + 4*s^2*t + 2*t^2\nat s=2, t=2: 56\n"
+    red, sym = (run_cli(capsys, "atom", "4096", "--route", r) for r in ("red", "sym"))
+    assert red == sym and red[0] == 0
 
 
 def test_lucas_and_companion_golden(capsys):

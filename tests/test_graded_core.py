@@ -211,16 +211,17 @@ def test_polynomial_operations_leave_their_operands_unchanged():
 
 
 def test_atom_routes_leave_the_cached_polynomials_unchanged():
-    # the bodies of the cached routes, run again over their cached sub-results
-    cached = [f(d) for d in divisors(240) for f in (lucas_poly, atom_division, atom_reduction)]
-    cached += [companion_poly(p) for p in (2, 3, 5)]
-    stores = [copy.deepcopy(x._c) for x in cached]
-    division = atom_division.__wrapped__(240)
-    reduction = atom_reduction.__wrapped__(240)
-    assert [x._c for x in cached] == stores
-    assert division == reduction == atom_symmetric(240)
-    again = [f(d) for d in divisors(240) for f in (lucas_poly, atom_division, atom_reduction)]
-    assert all(x is y for x, y in zip(again, cached))
+    # the bodies of the cached routes, run again over their cached sub-results;
+    # 240 takes a radical lift, 420 a once-prime lift and a division
+    for n in (240, 420):
+        cached = [f(d) for d in divisors(n) for f in (lucas_poly, atom_division, atom_reduction)]
+        stores = [copy.deepcopy(x._c) for x in cached]
+        division = atom_division.__wrapped__(n)
+        reduction = atom_reduction.__wrapped__(n)
+        assert [x._c for x in cached] == stores, n
+        assert division == reduction == atom_symmetric(n)
+        again = [f(d) for d in divisors(n) for f in (lucas_poly, atom_division, atom_reduction)]
+        assert all(x is y for x, y in zip(again, cached)), n
 
 
 # -- exact division --------------------------------------------------------------------
