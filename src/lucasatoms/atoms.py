@@ -7,8 +7,9 @@ atom with n >= 2 is weighted-homogeneous (each monomial s^i t^j has
 i + 2j = phi(n)), monic in s, and has nonnegative coefficients.
 
 Three independent routes build P_n: symmetric (additive, from the cyclotomic
-coefficients and W_k = alpha^k + beta^k), division (U_n divided exactly by
-the atoms of the proper divisors) and reduction (one index lift from a
+coefficients and W_k = alpha^k + beta^k), division (exact division out of
+U_n, or W_{n/2} = U_n/U_{n/2} for even n, by the atoms of the proper
+divisors that it holds) and reduction (one index lift from a
 smaller atom). The "checked" route cross-checks all three, and
 `atom_eval` gives the integer P_n(s, t) with no polynomial. README's atoms
 paragraph derives the routes and gives their measurements.
@@ -25,6 +26,7 @@ from .lucasfam import (
     LucasParams,
     _weight_row,
     companion_int,
+    companion_poly,
     cyclotomic,
     lucas_poly,
 )
@@ -120,13 +122,21 @@ def atom_symmetric(n: int) -> BiPoly:
 
 @cache
 def atom_division(n: int) -> BiPoly:
-    """P_n = U_n / prod of the atoms of the proper divisors, by exact division."""
+    """P_n by exact division out of U_n, or W_{n/2} = U_n/U_{n/2} for even n.
+
+    With h = n/2 for even n and h = 1 for odd n, U_n/U_h is the product of
+    the P_d with d | n and d not dividing h; it is divided exactly by the
+    atoms of those d other than n. For even n every such d is even, and at
+    n = 2^k nothing is divided: P_n = W_{n/2}.
+    """
     if n < 1:
         raise ValueError("index must be positive")
     if n == 1:
         return BiPoly.one()
-    poly = lucas_poly(n)
+    h, poly = (1, lucas_poly(n)) if n % 2 else (n // 2, companion_poly(n // 2))
     for d in divisors(n)[1:-1]:
+        if h % d == 0:
+            continue
         try:
             poly = exact_div_in_s(poly, atom_division(d))
         except ValueError as exc:

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from division_reference import u_division_atom
+
 from lucasatoms.atoms import (
     _atom_weight_list,
     _lift,
@@ -59,6 +61,60 @@ def test_atom_division_examples():
     for d in divisors(12):
         prod = prod * atom_division(d)
     assert prod == lucas_poly(12)
+
+
+def test_division_route_matches_the_u_n_oracle():
+    for n in [*range(1, 301), 1209, 2310]:
+        assert atom_division(n) == u_division_atom(n), n
+    # sizes where the W_{n/2} dividend keeps the division route cheap
+    for n in (4096, 6000):
+        assert atom_division(n) == atom_symmetric(n), n
+
+
+def test_even_division_reads_no_lucas_row(monkeypatch):
+    # an even index divides W_{n/2} by the atoms of even divisors only, so no
+    # U row is read at any depth of the recursion
+    import lucasatoms.atoms as atoms_module
+
+    def no_lucas_row(n):
+        raise AssertionError(f"U_{n} read")
+
+    expected = {n: u_division_atom(n) for n in range(2, 401, 2)}
+    monkeypatch.setattr(atoms_module, "lucas_poly", no_lucas_row)
+    try:
+        for n, poly in expected.items():
+            atoms_module.atom_division.cache_clear()
+            assert atoms_module.atom_division(n) == poly, n
+    finally:
+        atoms_module.atom_division.cache_clear()
+
+
+def test_power_of_two_division_is_the_companion_row(monkeypatch):
+    import lucasatoms.atoms as atoms_module
+
+    def no_division(f, g):
+        raise AssertionError("a division at a power of two")
+
+    monkeypatch.setattr(atoms_module, "exact_div_in_s", no_division)
+    atoms_module.atom_division.cache_clear()
+    try:
+        for k in range(1, 13):
+            assert atoms_module.atom_division(2**k) == companion_poly(2 ** (k - 1)), k
+    finally:
+        atoms_module.atom_division.cache_clear()
+
+
+@pytest.mark.parametrize("n, d", [(20, 4), (15, 3)])  # W_10 / P_4 and U_15 / P_3
+def test_division_route_rejects_a_wrong_divisor_atom(monkeypatch, n, d):
+    import lucasatoms.atoms as atoms_module
+
+    cached = atoms_module.atom_division
+    wrong = bp({(2, 0): 1, (0, 1): 5})  # monic of weight 2, and neither P_3 nor P_4
+    monkeypatch.setattr(
+        atoms_module, "atom_division", lambda k: wrong if k == d else cached(k)
+    )
+    with pytest.raises(InternalConsistencyError, match=f"extracting the atom at {n}"):
+        cached.__wrapped__(n)
 
 
 def test_atom_reduction_examples():
@@ -176,11 +232,15 @@ def test_reduction_lifts_once_from_the_smaller_base(monkeypatch, n, base, f):
 
 
 def test_lift_pair_is_the_companion_polynomial():
-    # W_p = U_2p / U_p = P_2 * P_2p for odd p; W_2 = s^2 + 2t
+    # W_p = U_2p / U_p = P_2 * P_2p for odd p; W_2 = s^2 + 2t. The division
+    # route builds P_2p from W_p itself, so P_2p comes from the symmetric route
+    # and the U_n oracle here
     assert companion_poly(2) == bp({(2, 0): 1, (0, 1): 2})
+    s = BiPoly.var_s()
     for p in range(3, 200, 2):
         if is_prime(p):
-            assert companion_poly(p) == BiPoly.var_s() * atom_division(2 * p), p
+            assert companion_poly(p) == s * atom_symmetric(2 * p), p
+            assert companion_poly(p) == s * u_division_atom(2 * p), p
 
 
 def test_checked_route_detects_disagreement(monkeypatch):

@@ -210,17 +210,24 @@ def test_polynomial_operations_leave_their_operands_unchanged():
     assert [x._c for x in operands] == stores
 
 
+def _route_reads(n):
+    # the cached polynomials the routes read at n: the W_{d/2} rows are the
+    # division route's dividends at even d
+    reads = [f(d) for d in divisors(n) for f in (lucas_poly, atom_division, atom_reduction)]
+    return reads + [companion_poly(d // 2) for d in divisors(n) if d % 2 == 0]
+
+
 def test_atom_routes_leave_the_cached_polynomials_unchanged():
     # the bodies of the cached routes, run again over their cached sub-results;
     # 240 takes a radical lift, 420 a once-prime lift and a division
     for n in (240, 420):
-        cached = [f(d) for d in divisors(n) for f in (lucas_poly, atom_division, atom_reduction)]
+        cached = _route_reads(n)
         stores = [copy.deepcopy(x._c) for x in cached]
         division = atom_division.__wrapped__(n)
         reduction = atom_reduction.__wrapped__(n)
         assert [x._c for x in cached] == stores, n
         assert division == reduction == atom_symmetric(n)
-        again = [f(d) for d in divisors(n) for f in (lucas_poly, atom_division, atom_reduction)]
+        again = _route_reads(n)
         assert all(x is y for x, y in zip(again, cached)), n
 
 

@@ -189,8 +189,8 @@ def test_family_coefficients_nonnegative():
 
 
 def test_doubling_identity():
-    # U_{2n} = U_n * W_n
-    for n in range(0, 401):
+    # U_{2n} = U_n * W_n; the division route returns P_{2n} = W_n at n = 2^k
+    for n in [*range(0, 401), 1024, 2048, 3000]:
         assert lucas_poly(2 * n) == lucas_poly(n) * companion_poly(n)
 
 
