@@ -8,7 +8,7 @@ i + 2j = phi(n)), monic in s, and has nonnegative coefficients.
 
 Three independent routes build P_n: symmetric (additive, from the cyclotomic
 coefficients and W_k = alpha^k + beta^k), division (exact division out of
-U_n, or W_{n/2} = U_n/U_{n/2} for even n, by the atoms of the proper
+U_n/U_{n/p}, p the smallest prime dividing n, by the atoms of the proper
 divisors that it holds) and reduction (one index lift from a
 smaller atom). The "checked" route cross-checks all three, and
 `atom_eval` gives the integer P_n(s, t) with no polynomial. README's atoms
@@ -26,7 +26,6 @@ from .lucasfam import (
     LucasParams,
     _weight_row,
     companion_int,
-    companion_poly,
     cyclotomic,
     lucas_poly,
 )
@@ -122,18 +121,25 @@ def atom_symmetric(n: int) -> BiPoly:
 
 @cache
 def atom_division(n: int) -> BiPoly:
-    """P_n by exact division out of U_n, or W_{n/2} = U_n/U_{n/2} for even n.
+    """P_n by exact division out of U_n/U_h, h = n/p for p the smallest prime
+    dividing n.
 
-    With h = n/2 for even n and h = 1 for odd n, U_n/U_h is the product of
-    the P_d with d | n and d not dividing h; it is divided exactly by the
-    atoms of those d other than n. For even n every such d is even, and at
-    n = 2^k nothing is divided: P_n = W_{n/2}.
+    U_n/U_h = U_p(W_h, -(-t)^h) = sum_{0 <= i <= (p-1)/2} (-t)^(hi) W_{h(p-1-2i)},
+    W_0 entering the middle term as 1: one row sum (W_{n/2} at p = 2), or U_n
+    at an odd prime n. It is the product of the P_d with d | n, d not dividing
+    h (v_p(d) = v_p(n)), divided here by the atoms of those d other than n.
     """
     if n < 1:
         raise ValueError("index must be positive")
     if n == 1:
         return BiPoly.one()
-    h, poly = (1, lucas_poly(n)) if n % 2 else (n // 2, companion_poly(n // 2))
+    p = factorize(n)[0][0]
+    h = n // p
+    if p == n > 2:
+        poly = lucas_poly(n)
+    else:
+        c = [int(j % h == 0) for j in range((n - h) // 2 + 1)]
+        poly = BiPoly.from_weight_list(n - h, _weight_list_by_rows(n - h, c))
     for d in divisors(n)[1:-1]:
         if h % d == 0:
             continue

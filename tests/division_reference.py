@@ -1,8 +1,9 @@
 """Reference division route: the oracle for `atoms.atom_division`.
 
-This is the division route as it stood before even indices started from
-W_{n/2} = U_n / U_{n/2}: U_n divided exactly by the atoms of every proper
-divisor of n, each taken from this module's own recursion.
+This is the division route as it stood before each index n started from
+U_n / U_{n/p} for p the smallest prime dividing n (W_{n/2} at p = 2): U_n
+divided exactly by the atoms of every proper divisor of n, each taken from
+this module's own recursion.
 """
 
 from __future__ import annotations

@@ -64,11 +64,30 @@ def test_atom_division_examples():
 
 
 def test_division_route_matches_the_u_n_oracle():
-    for n in [*range(1, 301), 1209, 2310]:
+    for n in [*range(1, 301), 1209, 1221, 2310]:
         assert atom_division(n) == u_division_atom(n), n
-    # sizes where the W_{n/2} dividend keeps the division route cheap
+    # sizes where the U_n/U_{n/p} dividend keeps the division route cheap
     for n in (4096, 6000):
         assert atom_division(n) == atom_symmetric(n), n
+    for n in (3003, 5005):
+        assert atom_division(n) == atom_reduction(n), n
+
+
+@pytest.mark.parametrize("n, used", [(1221, [3, 33, 111]), (225, [9, 45])])
+def test_division_divides_only_by_the_atoms_off_n_over_p(monkeypatch, n, used):
+    # 1221 = 3 * 11 * 37 and 225 = 3^2 * 5^2 start from U_n/U_{n/3}: the
+    # divisors d with v_3(d) = v_3(n), other than n itself
+    import lucasatoms.atoms as atoms_module
+
+    index = {id(atom_division(d)): d for d in divisors(n)[:-1]}
+    calls = []
+    monkeypatch.setattr(
+        atoms_module,
+        "exact_div_in_s",
+        lambda f, g: calls.append(index[id(g)]) or exact_div_in_s(f, g),
+    )
+    assert atom_division.__wrapped__(n) == u_division_atom(n)
+    assert calls == used
 
 
 def test_even_division_reads_no_lucas_row(monkeypatch):
@@ -104,7 +123,45 @@ def test_power_of_two_division_is_the_companion_row(monkeypatch):
         atoms_module.atom_division.cache_clear()
 
 
-@pytest.mark.parametrize("n, d", [(20, 4), (15, 3)])  # W_10 / P_4 and U_15 / P_3
+def test_odd_prime_power_division_is_one_row_sum(monkeypatch):
+    # P_{p^k} = U_{p^k}/U_{p^(k-1)}, the closed form itself
+    import lucasatoms.atoms as atoms_module
+
+    def no_division(f, g):
+        raise AssertionError("a division at a prime power")
+
+    cases = [p**k for p, top in ((3, 6), (5, 4), (7, 3)) for k in range(1, top + 1)]
+    expected = {n: atom_symmetric(n) for n in cases}
+    monkeypatch.setattr(atoms_module, "exact_div_in_s", no_division)
+    try:
+        for n, poly in expected.items():
+            atoms_module.atom_division.cache_clear()
+            assert atoms_module.atom_division(n) == poly, n
+    finally:
+        atoms_module.atom_division.cache_clear()
+
+
+def test_only_odd_primes_read_a_lucas_row(monkeypatch):
+    # every other index, at any depth of the recursion, starts from a row sum
+    import lucasatoms.atoms as atoms_module
+
+    def odd_prime_row(n):
+        assert n % 2 and is_prime(n), f"U_{n} read"
+        return lucas_poly(n)
+
+    composites = [n for n in range(4, 401) if not is_prime(n)]
+    expected = {n: u_division_atom(n) for n in composites}
+    monkeypatch.setattr(atoms_module, "lucas_poly", odd_prime_row)
+    try:
+        for n, poly in expected.items():
+            atoms_module.atom_division.cache_clear()
+            assert atoms_module.atom_division(n) == poly, n
+    finally:
+        atoms_module.atom_division.cache_clear()
+
+
+# W_10 / P_4, and U_15/U_5 divided by P_3
+@pytest.mark.parametrize("n, d", [(20, 4), (15, 3)])
 def test_division_route_rejects_a_wrong_divisor_atom(monkeypatch, n, d):
     import lucasatoms.atoms as atoms_module
 

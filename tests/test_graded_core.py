@@ -211,16 +211,17 @@ def test_polynomial_operations_leave_their_operands_unchanged():
 
 
 def _route_reads(n):
-    # the cached polynomials the routes read at n: the W_{d/2} rows are the
-    # division route's dividends at even d
-    reads = [f(d) for d in divisors(n) for f in (lucas_poly, atom_division, atom_reduction)]
-    return reads + [companion_poly(d // 2) for d in divisors(n) if d % 2 == 0]
+    # the cached polynomials the routes read at n: U_p is the reduction
+    # route's base at a prime p and the division route's dividend at an odd
+    # prime p; every other dividend is a fresh row sum
+    return [f(d) for d in divisors(n) for f in (lucas_poly, atom_division, atom_reduction)]
 
 
 def test_atom_routes_leave_the_cached_polynomials_unchanged():
     # the bodies of the cached routes, run again over their cached sub-results;
-    # 240 takes a radical lift, 420 a once-prime lift and a division
-    for n in (240, 420):
+    # 240 takes a radical lift, 420 and 315 a once-prime lift and a division,
+    # and 315 divides the row sum U_315/U_105
+    for n in (240, 420, 315):
         cached = _route_reads(n)
         stores = [copy.deepcopy(x._c) for x in cached]
         division = atom_division.__wrapped__(n)
