@@ -2,8 +2,9 @@
 
 `classify` puts each prime p and pair (s, t) with t != 0 in one `Regime`;
 `rank_of_appearance` gives the first zero of U_n mod p. `vp_lucas_closed` and
-`vp_atom_closed` give v_p(U_n) and v_p(P_n) by the closed forms, read from one
-cached table per (p, s, t) (`_pair_table`) that takes no exact U_n.
+`vp_atom_closed` give v_p(U_n) and v_p(P_n) by one closed form each, read from
+one cached table per (p, s, t) (`_pair_table`) that takes no exact U_n: the
+rank k and the terms v_k at n = k, v_kp at n = kp and 1 at n = k p^h, h >= 2.
 `vp_atom_mobius` sums mu(d) v_p(U_{n/d}) over the squarefree d | n from the
 same table, and `vp_atom_oracle` takes the valuation of the exact atom value.
 An atom value is zero only at indices 2, 3, 4, 6 (for t != 0). The closed
@@ -183,26 +184,31 @@ def classify(p: int, params: LucasParams) -> ValuationCase:
 
 @cache
 def _pair_table(p: int, params: LucasParams) -> tuple[int, ValuationCase, int | None, int | None]:
-    """(q, case, v_p(U_k), v_2(W_k)), the per-pair constants every closed form
-    reads. With c the largest integer with p^c | s and p^2c | t, the case is
-    that of the stripped pair (s/p^c, t/p^2c), in which p ∤ t, p ∤ s, or p
-    divides t once. q = 2c + 1 where p | s/p^c and p divides t/p^2c once, else
-    2c, so that v_p(U_n) starts from (q (n - 1)) // 2 and v_p(P_n) from
-    (q phi(n)) // 2. Where p ∤ t/p^2c, v_p(U_k) and (p = 2) v_2(W_k) of the
-    stripped pair come from residues, None where the value is zero or not
-    used. Cached per (p, params)."""
+    """(q, case, v_k, v_kp), the per-pair constants every closed form reads.
+    With c the largest integer with p^c | s and p^2c | t, the case is that of
+    the stripped pair (s', t') = (s/p^c, t/p^2c), in which p ∤ t', p ∤ s', or
+    p divides t' once. q = 2c + 1 where p | s' and p divides t' once, else 2c,
+    so that v_p(U_n) starts from (q (n - 1)) // 2 and v_p(P_n) from
+    (q phi(n)) // 2. k = case.k is the stripped pair's rank of appearance
+    (None where p ∤ s', p | t'). Where p ∤ t', v_k = v_p(U_k) comes from
+    residues and v_kp = v_p(U_kp / U_k) is 1 for odd p and v_2(W_k) at p = 2;
+    where p | s', k = 2, v_k = a and v_kp = 1 + lambda. A value is None where
+    it is zero or not used. Cached per (p, params)."""
     case = classify(p, params)
     c = case.b // 2 if case.a is None else min(case.a, case.b // 2)
     case = classify(p, LucasParams(params.s // p**c, params.t // p ** (2 * c)))
-    vu = vw = None
-    if case.b == 0:  # U_n(s, t) = p^(c (n - 1)) U_n(s/p^c, t/p^2c): the same zeros
-        k = case.k
+    k, v_k, v_kp = case.k, None, None
+    if case.b == 0:  # U_n(s, t) = p^(c (n - 1)) U_n(s', t'): the same zeros
         if not lucas_value_is_zero(k, params):
-            vu = _deep_valuation(p, case.params, k)
-        # W_k = U_2k / U_k where U_k != 0, else 2 alpha^k != 0
-        if p == 2 and (vu is None or not lucas_value_is_zero(2 * k, params)):
-            vw = _deep_valuation(2, case.params, k, companion=True)
-    return 2 * c + (case.b == 1 and case.a != 0), case, vu, vw
+            v_k = _deep_valuation(p, case.params, k)
+        if p != 2:
+            v_kp = 1  # lifting the exponent
+        # U_2k / U_k = W_k where U_k != 0, else P_2k = W_k = 2 alpha^k != 0
+        elif v_k is None or not lucas_value_is_zero(2 * k, params):
+            v_kp = _deep_valuation(2, case.params, k, companion=True)
+    elif k:  # p | s', p || t': k = 2 as p | U_2 = s', and lambda more at n = 2p
+        v_k, v_kp = case.a, 1 + (case.lam or 0)
+    return 2 * c + (case.b == 1 and case.a != 0), case, v_k, v_kp
 
 
 def _deep_valuation(
@@ -231,30 +237,15 @@ def vp_lucas_closed(p: int, params: LucasParams, n: int) -> int:
 
 
 def _vp_lucas_case(p: int, table: tuple, n: int) -> int:
-    """v_p(U_n) for the pair table of `_pair_table` and a nonzero U_n."""
-    q, case, vu, vw = table
+    """v_p(U_n) for the pair table of `_pair_table` and a nonzero U_n:
+    (q (n - 1)) // 2 + [k | n] (v_k + [p | n/k] (v_kp - 1 + v_p(n/k)))."""
+    q, case, v_k, v_kp = table
     k = case.k
     shift = q * (n - 1) // 2
-
-    if case.b == 0:  # p ∤ t: the rank formula, at p = 2 restarted at index 2k
-        if n % k:
-            return shift
-        if p == 2 and n % (2 * k) == 0:
-            return shift + vu + vw + _vp(2, n // (2 * k))
-        return shift + vu + _vp(p, n // k)
-    if case.a == 0 or n % 2:
-        return shift  # U_n = s^(n-1) mod p, or v_p(U_{2m+1}) = m with p | s, p || t
-
-    # b = 1: v_p(U_{2m}) = c (n - 1) + m + (a - 1) + v_p(m) + lambda; the shift holds m - 1
-    m = n // 2
-    lam = (case.lam or 0) if m % p == 0 else 0
-    return shift + case.a + _vp(p, m) + lam
-
-
-def _power_exponent(x: int, p: int) -> int:
-    """h >= 1 with x = p^h, else 0 (x >= 1)."""
-    h = _vp(p, x)
-    return h if x == p**h else 0
+    if k is None or n % k:
+        return shift
+    h = _vp(p, n // k)
+    return shift + v_k + (v_kp - 1 + h if h else 0)
 
 
 def vp_atom_closed(p: int, params: LucasParams, n: int) -> int:
@@ -268,55 +259,38 @@ def vp_atom_closed(p: int, params: LucasParams, n: int) -> int:
 
 
 def _vp_atom_case(p: int, table: tuple, n: int) -> int:
-    """v_p(P_n) for the pair table of `_pair_table` and a nonzero P_n.
+    """v_p(P_n) for the pair table of `_pair_table` and a nonzero P_n:
+    (q phi(n)) // 2 plus v_k at n = k, v_kp at n = kp and 1 at n = k p^h,
+    h >= 2.
 
     phi(n) is taken only when q > 0, so at c = 0 the p ∤ t path factorizes
     no n.
     """
-    q, case, vu, vw = table
+    q, case, v_k, v_kp = table
     k = case.k
     shift = q * euler_phi(n) // 2 if q else 0
-
-    # p ∤ t. At p = 2, W_k = U_2k / U_k is P_4 (k = 2) or P_2 P_6 with P_2 = s odd
-    if case.b == 0:
-        if n == k:
-            return shift + vu
-        if p == 2 and n == 2 * k:
-            return shift + vw
-        return shift + (1 if n % k == 0 and _power_exponent(n // k, p) else 0)
-    if case.a == 0:
+    if k is None or n % k:
         return shift
-
-    # b = 1: a at n = 2; one more at n = 2p^h, and lambda more at n = 2p
-    if n == 2:
-        return shift + case.a
-    h = _power_exponent(n // 2, p) if n % 2 == 0 else 0
-    lam = (case.lam or 0) if h == 1 else 0
-    return shift + (1 if h else 0) + lam
+    h = _vp(p, n // k)
+    if n != k * p**h:
+        return shift
+    return shift + (v_k, v_kp, 1)[min(h, 2)]
 
 
 def _closed_atom_valuations(p: int, params: LucasParams, horizon: int) -> array[int]:
     """`_vp_atom_case` at 0 <= n <= horizon as one array('q'), entries 0 and 1
     being 0, for a pair with no zero atom value and with no call per index:
-    (q phi(n)) // 2 from one phi sieve, then the terms at n = k p^h (p ∤ t')
-    or at n = 2 and 2 p^h (p | s')."""
+    (q phi(n)) // 2 from one phi sieve, then v_k at n = k, v_kp at n = kp
+    and 1 at n = k p^h, h >= 2."""
     from array import array
 
-    q, case, vu, vw = _pair_table(p, params)
+    q, case, v_k, v_kp = _pair_table(p, params)
     vals = array("q", (q * v // 2 for v in _phi_sieve(horizon)) if q else bytes(8 * (horizon + 1)))
     vals[1] = 0
-    if case.b == 0:  # v_p(U_k) at n = k, v_2(W_k) at n = 2k if p = 2, 1 at n = k p^h
-        n, extra = case.k, vu
-        while n <= horizon:
-            vals[n] += extra
-            n *= p
-            extra = vw if n == 2 * case.k else 1
-    elif case.a:  # a at n = 2; one more at n = 2p^h, and lambda more at n = 2p
-        vals[2] += case.a
-        n, extra = 2 * p, 1 + (case.lam or 0)
-        while n <= horizon:
-            vals[n] += extra
-            n, extra = n * p, 1
+    n, extra = case.k or horizon + 1, v_k
+    while n <= horizon:
+        vals[n] += extra
+        n, extra = n * p, (v_kp if n == case.k else 1)
     return vals
 
 

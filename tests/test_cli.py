@@ -17,6 +17,7 @@ from lucasatoms import (
     lucanomial,
     lucas_int,
     numtheory,
+    valuations,
 )
 from lucasatoms.exactpoly import LinearSolveResult
 
@@ -113,6 +114,17 @@ def test_val_disagreement_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "disagree" in err
+
+
+def test_val_negative_mobius_sum_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(valuations, "_vp_lucas_case", lambda p, table, n: int(n != 6))
+    code, out, err = run_cli(
+        capsys, "val", "--p", "2", "--s", "1", "--t", "1", "--n", "6", "--method", "mobius"
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "internal consistency error: negative atom valuation from the Mobius sum at index 6\n"
+    )
 
 
 def test_domain_error_exits_1(capsys):

@@ -103,6 +103,13 @@ def test_rank_not_dividing_the_bound_is_an_internal_error(monkeypatch):
         rank_of_appearance(7, FIB)
 
 
+def test_negative_mobius_sum_is_an_internal_error(monkeypatch):
+    # v_p(U_6) read as 0 and every other v_p(U_m) as 1: 0 - 1 - 1 + 1 = -1
+    monkeypatch.setattr(valuations, "_vp_lucas_case", lambda p, table, n: int(n != 6))
+    with pytest.raises(InternalConsistencyError, match="negative atom valuation"):
+        vp_atom_mobius(2, FIB, 6)
+
+
 def test_rank_divides_bound():
     for p in (3, 5, 7, 11, 13, 17):
         for s, t in ((1, 1), (3, 1), (2, 1), (1, 2)):
@@ -545,17 +552,19 @@ def test_pair_table_matches_the_exact_value_oracles():
             ]
             assert got == want, (p, s, t)
             regimes.add(classify(p, params).regime)
-            q, case, vu, vw = _pair_table(p, params)
+            q, case, v_k, v_kp = _pair_table(p, params)
             c, stripped = stripped_by_classify(p, params)
             # the shift numerator: 2c, plus 1 where p | s' and p divides t' once
             want_q = 2 * c + (stripped.b == 1 and stripped.a != 0)
             assert (q, case) == (want_q, stripped), (p, s, t)
-            if case.b == 0:  # v_p(U_k) and v_2(W_k) of the stripped pair, None where zero
-                u, w = lucas_int(case.k, case.params), companion_int(case.k, case.params)
-                assert vu == (vp_int(p, u) if u else None), (p, s, t)
-                assert vw == (vp_int(2, w) if p == 2 and w else None), (p, s, t)
-            else:
-                assert vu is vw is None, (p, s, t)
+            if case.k is None:
+                assert v_k is v_kp is None, (p, s, t)
+                continue
+            # v_k and v_kp are what v_p(P_k) and v_p(P_kp) hold above the shift
+            for n, v in ((case.k, v_k), (case.k * p, v_kp)):
+                value = atom_eval(n, params)
+                if value:
+                    assert v == vp_int(p, value) - q * euler_phi(n) // 2, (p, s, t, n)
     assert regimes == set(Regime)
 
 
