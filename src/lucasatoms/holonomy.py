@@ -3,7 +3,9 @@ refutation of hypothesized polynomial recurrences for atom sequences.
 
 `divisibility_scan` reads every v_p(P_n(s, t)) up to the horizon off residues
 of the recurrence mod p^K, with no exact U_n, and compares it with the
-closed forms: unequal hit sets give matches=False, and an unequal value with
+closed forms. Both lists leave out the weighted-homogeneity term
+(q phi(n)) // 2, which neither side measures; where q > 0 it makes every
+n >= 2 a hit. Unequal hit sets give matches=False, and an unequal value with
 equal hit sets raises InternalConsistencyError. It also says whether the hit
 indicator is eventually periodic up to the horizon, which shows nothing about
 holonomy. `fit_recurrence` returns a validated fit, or the minimal
@@ -26,7 +28,7 @@ from .atoms import atom, atom_eval
 from .errors import InternalConsistencyError
 from .exactpoly import BiPoly, _eliminate, _Record
 from .lucasfam import LucasParams
-from .numtheory import _mobius_invert, _phi_sieve, euler_phi, is_prime
+from .numtheory import _phi_sieve, euler_phi, is_prime
 from .valuations import _closed_atom_valuations, _deep_valuation, _pair_table, zero_atom_indices
 
 if TYPE_CHECKING:
@@ -69,19 +71,20 @@ _RESIDUE_BITS = 64
 
 
 def _atom_valuations(p: int, params: LucasParams, horizon: int) -> array[int]:
-    """array('q') of v_p(P_n(s, t)) at index n for 0 <= n <= horizon (entries 0 and 1 are 0).
+    """array('q') of v_p(P_n(s, t)) - (q phi(n)) // 2 at index n for 0 <= n <= horizon
+    (entries 0 and 1 are 0), for q of `valuations._pair_table`.
 
     By weighted homogeneity v_p(U_n(s, t)) = (q (n - 1)) // 2 + v_p(V_n) for
-    q of `valuations._pair_table` and V_n = U_n(s', t') of the stripped pair,
-    divided by p^floor((n-1)/2) when q is odd (p | s' and p divides t' once).
-    V_n steps by (s', t'/p) at even n and by (s'/p, t'/p) at odd n when q is
-    odd, else by (s', t'). Either way v_p(V_n) stays small, so N steps mod p^K
-    give it exactly wherever the residue is nonzero; a zero residue is
-    resolved by `_deep_valuation`. The atom valuations are the Mobius
-    inversion of v_p(U_n) = sum_{d | n} v_p(P_d), which `_mobius_invert`
-    computes for any list in about N log log N steps. With q = 0 few entries
-    are nonzero, and subtracting each nonzero v_p(P_d) from the multiples of
-    d is faster. Needs U_n != 0.
+    V_n = U_n(s', t') of the stripped pair, divided by p^floor((n-1)/2) when q
+    is odd (p | s' and p divides t' once), and (q (n - 1)) // 2 is the sum of
+    (q phi(d)) // 2 over the d | n with d >= 2 (phi(2) = 1 carries the floor).
+    So only v_p(V_n) is measured and inverted. V_n steps by (s', t'/p) at even
+    n and by (s'/p, t'/p) at odd n when q is odd, else by (s', t'). Either way
+    v_p(V_n) stays small, so N steps mod p^K give it exactly wherever the
+    residue is nonzero; a zero residue is resolved by `_deep_valuation`. The
+    inversion of v_p(V_n) = sum_{d | n} v_p(P_d) - (q phi(d)) // 2 is nonzero
+    only at d = k p^h, k the stripped pair's rank, so subtracting each nonzero
+    term from the multiples of d is the whole inversion. Needs U_n != 0.
     """
     from array import array
 
@@ -93,9 +96,7 @@ def _atom_valuations(p: int, params: LucasParams, horizon: int) -> array[int]:
     while p ** (k + 1) <= 1 << _RESIDUE_BITS:
         k += 1
     mod = p**k
-    shift = (q * (n - 1) // 2 for n in range(horizon + 2))
-    vals = array("q", shift if q else bytes(8 * horizon + 16))
-    vals[0] = 0
+    vals = array("q", bytes(8 * horizon + 16))
 
     def deep(n: int) -> int:  # v_p(V_n) where V_n = 0 mod p^k
         return _deep_valuation(p, case.params, n, (n - 1) // 2 if halve else 0, 2 * k)
@@ -106,14 +107,12 @@ def _atom_valuations(p: int, params: LucasParams, horizon: int) -> array[int]:
     for n in range(2, horizon + 1, 2):  # even n by (s, t), odd n + 1 by (s_odd, t)
         x, y = y, (s * y + t * x) % mod
         if not y % p:
-            vals[n] += exponent[gcd(y, mod)] if y else deep(n)
+            vals[n] = exponent[gcd(y, mod)] if y else deep(n)
         x, y = y, (s_odd * y + t * x) % mod
         if not y % p:
-            vals[n + 1] += exponent[gcd(y, mod)] if y else deep(n + 1)
+            vals[n + 1] = exponent[gcd(y, mod)] if y else deep(n + 1)
     del vals[horizon + 1 :]  # the last odd step may pass the horizon
-    if q:  # the shift makes the list dense
-        return _mobius_invert(vals)
-    for d in range(2, horizon // 2 + 1):  # it is sparse: subtract each v_p(P_d) from its multiples
+    for d in range(2, horizon // 2 + 1):  # subtract each nonzero atom term from its multiples
         v = vals[d]
         if v:
             vals[2 * d :: d] = array("q", [u - v for u in vals[2 * d :: d]])
@@ -150,15 +149,19 @@ def divisibility_scan(p: int, params: LucasParams, horizon: int) -> Divisibility
         raise ValueError(
             f"degenerate parameters: atom value vanishes at {sorted(zeros)}"
         )
+    q = _pair_table(p, params)[0]
     closed = _closed_atom_valuations(p, params, horizon)
     vals = _atom_valuations(p, params, horizon)
-    indicator = bytes(map((0).__lt__, vals))
+    # both lists leave out (q phi(n)) // 2, which is at least 1 at n >= 3 when
+    # q > 0 and at n = 2 when q >= 2; q = 1 means p | s = P_2
+    indicator = bytes(map((0).__lt__, vals)) if not q else bytes(2) + b"\1" * (horizon - 1)
     matches = vals == closed
     if not matches:
-        expected = bytes(map((0).__lt__, closed))
+        expected = bytes(map((0).__lt__, closed)) if not q else indicator
         if expected == indicator:
             n = next(n for n, (u, v) in enumerate(zip(vals, closed)) if u != v)
-            msg = f"index {n}: valuation {vals[n]}, closed form {closed[n]}"
+            shift = q * euler_phi(n) // 2
+            msg = f"index {n}: valuation {vals[n] + shift}, closed form {closed[n] + shift}"
             raise InternalConsistencyError(msg)
     del vals, closed  # free both lists before the hit tuple is built
     ap_expressible = _eventually_periodic(indicator, horizon)

@@ -166,20 +166,14 @@ def euler_phi(n: int) -> int:
 
 def _phi_sieve(n: int) -> array[int]:
     """array('q') of phi(0) = 0, phi(1), ..., phi(n), with no factorization:
-    the Mobius inversion of m = sum_{d | m} phi(d)."""
+    the Mobius inversion of m = sum_{d | m} phi(d), the package's only dense
+    inversion (the scan's lists leave phi out). mu is the product of
+    (1 - [r]) over the primes r, so one pass per prime r <= n sets
+    f(m) -= f(m/r) at its multiples m, from copies taken before the pass,
+    about n log log n steps in all."""
     from array import array
 
-    return _mobius_invert(array("q", range(n + 1)))
-
-
-def _mobius_invert(vals: array[int]) -> array[int]:
-    """Turn f(0..n) in place into g with f(m) = sum_{d | m} g(d) for m >= 1:
-    g = f * mu, and mu is the product of (1 - [r]) over the primes r, so one
-    pass per prime r <= n sets f(m) -= f(m/r) at its multiples m, from copies
-    taken before the pass, about n log log n steps in all."""
-    from array import array
-
-    n = len(vals) - 1
+    vals = array("q", range(n + 1))
     for r in _primes(n):
         vals[r::r] = array("q", map(sub, vals[r::r], vals[1 : n // r + 1]))
     return vals

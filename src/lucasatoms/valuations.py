@@ -23,9 +23,7 @@ from .atoms import atom_eval
 from .errors import InternalConsistencyError
 from .exactpoly import _Record
 from .lucasfam import LucasParams, _lucas_pair, discriminant
-from .numtheory import (
-    _phi_sieve, _vp, divisors, euler_phi, is_prime, legendre, mobius, radical, vp_int
-)
+from .numtheory import _vp, divisors, euler_phi, is_prime, legendre, mobius, radical, vp_int
 
 if TYPE_CHECKING:
     from array import array
@@ -278,18 +276,18 @@ def _vp_atom_case(p: int, table: tuple, n: int) -> int:
 
 
 def _closed_atom_valuations(p: int, params: LucasParams, horizon: int) -> array[int]:
-    """`_vp_atom_case` at 0 <= n <= horizon as one array('q'), entries 0 and 1
-    being 0, for a pair with no zero atom value and with no call per index:
-    (q phi(n)) // 2 from one phi sieve, then v_k at n = k, v_kp at n = kp
-    and 1 at n = k p^h, h >= 2."""
+    """`_vp_atom_case` less (q phi(n)) // 2 at 0 <= n <= horizon as one
+    array('q'), for a pair with no zero atom value and with no call per index:
+    v_k at n = k, v_kp at n = kp and 1 at n = k p^h, h >= 2, else 0. The term
+    (q phi(n)) // 2 is weighted homogeneity, not the case analysis, and the
+    scan's residue list leaves it out too."""
     from array import array
 
-    q, case, v_k, v_kp = _pair_table(p, params)
-    vals = array("q", (q * v // 2 for v in _phi_sieve(horizon)) if q else bytes(8 * (horizon + 1)))
-    vals[1] = 0
+    _, case, v_k, v_kp = _pair_table(p, params)
+    vals = array("q", bytes(8 * (horizon + 1)))
     n, extra = case.k or horizon + 1, v_k
     while n <= horizon:
-        vals[n] += extra
+        vals[n] = extra
         n, extra = n * p, (v_kp if n == case.k else 1)
     return vals
 

@@ -363,6 +363,17 @@ def test_scan_stripped_regime_golden(capsys):
     )
 
 
+def test_scan_even_q_golden(capsys):
+    # s = 3, t = 9 at p = 3 strips c = 1 to (1, 1), so q = 2: v_3(P_n) >= phi(n)
+    # and every n >= 2 hits, n = 2 included since (2 phi(2)) // 2 = 1
+    code, out, err = run_cli(capsys, "scan", "--p", "3", "--s", "3", "--t", "9", "--limit", "12")
+    assert (code, out, err) == (
+        0,
+        "hits: 2 3 4 5 6 7 8 9 10 11 12\nmatches_closed_form: true\nap_expressible: true\n",
+        "",
+    )
+
+
 def test_scan_coprime_t_golden(capsys):
     # p = 7 does not divide t: rank 3 (U_3 = s^2 + t = 14), hits at 3 * 7^h
     code, out, err = run_cli(

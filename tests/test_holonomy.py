@@ -153,6 +153,13 @@ def _valuation_grid(primes, small, units, max_a, max_b):
                 yield p, params
 
 
+def _full_valuations(p, params, horizon):
+    """`_atom_valuations` with (q phi(n)) // 2 added back at n >= 2: v_p(P_n) in full."""
+    q = _pair_table(p, params)[0]
+    vals = _atom_valuations(p, params, horizon)
+    return [v + (q * euler_phi(n) // 2 if n > 1 else 0) for n, v in enumerate(vals)]
+
+
 def test_scan_valuations_match_exact_loop():
     # Every regime, stripped (c >= 1) pairs and the p || t, p | s pairs whose
     # loop runs U_n / p^floor((n-1)/2); the whole valuation list is compared.
@@ -162,8 +169,8 @@ def test_scan_valuations_match_exact_loop():
     for p, params in _valuation_grid((2, 3, 5, 7, 11, 13, 31), range(-12, 13), (1, -1, 2, -3), 4, 8):
         regimes.add(classify(p, params).regime)
         want = _atom_valuations_by_exact_loop(p, params, 200)
-        assert list(_atom_valuations(p, params, 200)) == want, (p, params)
-        assert list(_atom_valuations(p, params, 199)) == want[:200], (p, params)
+        assert _full_valuations(p, params, 200) == want, (p, params)
+        assert _full_valuations(p, params, 199) == want[:200], (p, params)
     assert regimes == set(Regime)
 
 
@@ -184,22 +191,33 @@ def test_scan_valuations_at_minimal_precision(monkeypatch):
     monkeypatch.setattr(valuations, "_lucas_pair", spy)
     for p, params in grid:
         want = _atom_valuations_by_exact_loop(p, params, 120)
-        assert list(_atom_valuations(p, params, 120)) == want, (p, params)
-        assert list(_atom_valuations(p, params, 119)) == want[:120], (p, params)
+        assert _full_valuations(p, params, 120) == want, (p, params)
+        assert _full_valuations(p, params, 119) == want[:120], (p, params)
     assert moduli and all(mod > 1 for mod in moduli)
     pattern = divisibility_scan(3, LucasParams(-9, -6), 200)
     assert pattern.matches and len(pattern.hit_indices) == 199
 
 
-def test_scan_factorizes_no_index():
-    # phi(n) for the closed-form cross-check comes from one sieve over the
-    # horizon, so even the phi(n)-linear regime neither factorizes nor caches n.
-    before = numtheory.factorize.cache_info(), numtheory.euler_phi.cache_info()
-    pattern = divisibility_scan(3, LucasParams(-9, -6), 2000)
-    after = numtheory.factorize.cache_info(), numtheory.euler_phi.cache_info()
-    assert pattern.matches
-    assert [i.hits + i.misses for i in after] == [i.hits + i.misses for i in before]
-    assert [i.currsize for i in after] == [i.currsize for i in before]
+def test_scan_factorizes_no_index(monkeypatch):
+    # Neither list carries (q phi(n)) // 2, so even the phi(n)-linear regimes,
+    # odd q and even q, take no phi(n) at all: no factorization, no cached n,
+    # and no prime sieve (`_primes` serves only the phi sieve).
+    sieves = []
+
+    def spy(n):
+        sieves.append(n)
+        return primes(n)
+
+    primes = numtheory._primes
+    monkeypatch.setattr(numtheory, "_primes", spy)
+    for params in (LucasParams(-9, -6), LucasParams(3, 9)):
+        before = numtheory.factorize.cache_info(), numtheory.euler_phi.cache_info()
+        pattern = divisibility_scan(3, params, 2000)
+        after = numtheory.factorize.cache_info(), numtheory.euler_phi.cache_info()
+        assert pattern.matches and _pair_table(3, params)[0] > 0
+        assert [i.hits + i.misses for i in after] == [i.hits + i.misses for i in before]
+        assert [i.currsize for i in after] == [i.currsize for i in before]
+    assert sieves == []
 
 
 def test_scan_builds_no_cyclotomic():
@@ -233,19 +251,30 @@ def test_scan_keeps_the_closed_form_hits_apart_on_disagreement(monkeypatch):
 
 
 def test_scan_value_mismatch_on_equal_hit_sets_is_an_internal_error(monkeypatch):
-    # one more at the hit index 6 keeps the hit sets equal but not the values
+    # one more at a hit index keeps the hit sets equal but not the values: index
+    # 6 of Fibonacci at p = 2 (q = 0), and index 2 at p = 3 of (3, 3), where
+    # q = 1 (P_2 = s = 3), and of (3, 9), where q = 2 and the stripped lists are
+    # 0 at n = 2; q > 0 makes every n >= 2 a hit, and the message adds
+    # (q phi(n)) // 2 back, so it gives full valuations
     build = holonomy._closed_atom_valuations
+    cases = (
+        (2, FIB, 200, 6, "index 6: valuation 2, closed form 3"),
+        (3, LucasParams(3, 3), 50, 2, "index 2: valuation 1, closed form 2"),
+        (3, LucasParams(3, 9), 50, 2, "index 2: valuation 1, closed form 2"),
+    )
+    for p, params, limit, n, message in cases:
 
-    def one_more_at_six(p, params, horizon):
-        vals = build(p, params, horizon)
-        vals[6] += 1
-        return vals
+        def one_more(p, params, horizon, n=n):
+            vals = build(p, params, horizon)
+            vals[n] += 1
+            return vals
 
-    monkeypatch.setattr(holonomy, "_closed_atom_valuations", one_more_at_six)
-    with pytest.raises(InternalConsistencyError, match="index 6: valuation 2, closed form 3"):
-        divisibility_scan(2, FIB, 200)
-    code = cli.main(["scan", "--p", "2", "--s", "1", "--t", "1", "--limit", "200"])
-    assert code == 3
+        monkeypatch.setattr(holonomy, "_closed_atom_valuations", one_more)
+        with pytest.raises(InternalConsistencyError, match=message):
+            divisibility_scan(p, params, limit)
+        argv = ["scan", "--p", str(p), "--s", str(params.s), "--t", str(params.t)]
+        assert cli.main(argv + ["--limit", str(limit)]) == 3
+    assert [_pair_table(3, LucasParams(3, t))[0] for t in (3, 9)] == [1, 2]
 
 
 def test_scan_rejects_bad_inputs():
